@@ -202,6 +202,7 @@ def run_effects(config: dict, outdir: Path) -> None:
     scopes = _parse_list(str(config["scopes"]))
     kinds = _parse_list(str(config["kinds"]))
     variants = _parse_variants(str(config["variants"]))
+    tables: dict = {}
     estimates = effect_suite(
         panel, layers, metrics, scopes, kinds, variants,
         permutations=int(config["permutations"]),
@@ -210,21 +211,19 @@ def run_effects(config: dict, outdir: Path) -> None:
         scaling=str(config["scaling"]),
         threads=int(config["threads"]),
         blocks=_blocks_from(config),
+        tables=tables,
     )
     vio.write_effects(estimates, outdir / "effects.csv")
-    vio.write_plot_data(_plot_rows(panel, estimates), outdir / "plotdata.csv")
+    vio.write_plot_data(_plot_rows(panel, estimates, tables), outdir / "plotdata.csv")
     print(f"wrote {len(estimates)} effect estimates")
 
 
-def _plot_rows(panel, estimates) -> list[dict]:
+def _plot_rows(panel, estimates, tables) -> list[dict]:
+    """Plot series per estimate, read from the metric tables effect_suite built."""
     rows = []
-    tables: dict = {}
     for est in estimates:
         s = est.spec
-        key = (s.layer, s.variant_flags)
-        if key not in tables:
-            tables[key] = metric_table(panel, s.layer, s.variant_flags)
-        table = tables[key]
+        table = tables[(s.layer, s.variant_flags)]
         focal, comparison = classify_groups(panel, s)
         f1, f3, _ = group_change(table, s.metric, focal)
         c1, c3, _ = group_change(table, s.metric, comparison)
@@ -278,7 +277,7 @@ def run_dyadic(config: dict, outdir: Path) -> None:
             fit = fit_logistic_irls(data_all, outcome, scheme)
             vio.write_regression(fit, outdir / f"{outcome}_{scheme}.csv")
     if int(config["correspondence"]):
-        rows, fit = estimand_correspondence(panel, layer)
+        rows, fit = estimand_correspondence(panel, layer, data=data_all)
         lines = [
             f"{r.term},{vio.fmt_value(r.dyadic_estimate)},"
             f"{vio.fmt_value(r.node_contrast)},{int(r.signs_agree)}"
@@ -338,7 +337,7 @@ def run_doseresponse(config: dict, outdir: Path) -> None:
     layer = str(config["layer"])
     metric = str(config["metric"])
     group = str(config["group"])
-    table = metric_table(panel, layer)
+    table = metric_table(panel, layer, metrics=(metric,))
     asg = observed_assignment(panel)
     points = []
     for village in panel.villages:

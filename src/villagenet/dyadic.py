@@ -134,16 +134,6 @@ class DyadDataset:
         return out
 
 
-def _adjacency_matrix(net, members: tuple[str, ...]) -> np.ndarray:
-    index = {m: i for i, m in enumerate(members)}
-    mat = np.zeros((len(members), len(members)), dtype=bool)
-    for u, v in net.edges:
-        mat[index[u], index[v]] = True
-        if not net.directed:
-            mat[index[v], index[u]] = True
-    return mat
-
-
 def dyad_dataset(
     panel: StudyPanel,
     layer: str,
@@ -171,8 +161,9 @@ def dyad_dataset(
         n = len(members)
         if n < 2:
             continue
-        a1 = _adjacency_matrix(panel.network(village, 1, layer, variant_flags), members)
-        a3 = _adjacency_matrix(panel.network(village, 3, layer, variant_flags), members)
+        # Network nodes are the village's members in the same sorted order.
+        a1 = panel.network(village, 1, layer, variant_flags).adjacency
+        a3 = panel.network(village, 3, layer, variant_flags).adjacency
         off = ~np.eye(n, dtype=bool)
         if sample == "existing_w1":
             keep = a1 & off
@@ -466,23 +457,21 @@ def _partner_rates(panel: StudyPanel, layer: str, wave: int,
     rates: dict[str, dict[str, float | None]] = {}
     for village in panel.villages:
         net = panel.network(village, wave, layer)
-        members = net.nodes
-        n = len(members)
-        treated = np.array([m in asg.treated for m in members])
-        n_treated = int(treated.sum())
-        mat = _adjacency_matrix(net, members)
-        for i, node in enumerate(members):
-            pot_t = n_treated - (1 if treated[i] else 0)
-            pot_u = (n - 1) - pot_t
-            in_t = float(mat[:, i][treated].sum())
-            in_u = float(mat[:, i][~treated].sum())
-            out_t = float(mat[i, :][treated].sum())
-            out_u = float(mat[i, :][~treated].sum())
+        mat = net.adjacency
+        n = net.n
+        treated = np.array([m in asg.treated for m in net.nodes], dtype=float)
+        untreated = 1.0 - treated
+        pot_t = int(treated.sum()) - treated
+        pot_u = (n - 1) - pot_t
+        in_t, in_u = treated @ mat, untreated @ mat
+        out_t, out_u = mat @ treated, mat @ untreated
+        for i, node in enumerate(net.nodes):
+            t, u = pot_t[i], pot_u[i]
             rates[node] = {
-                "in_from_treated": in_t / pot_t if pot_t > 0 else None,
-                "in_from_untreated": in_u / pot_u if pot_u > 0 else None,
-                "out_to_treated": out_t / pot_t if pot_t > 0 else None,
-                "out_to_untreated": out_u / pot_u if pot_u > 0 else None,
+                "in_from_treated": in_t[i] / t if t > 0 else None,
+                "in_from_untreated": in_u[i] / u if u > 0 else None,
+                "out_to_treated": out_t[i] / t if t > 0 else None,
+                "out_to_untreated": out_u[i] / u if u > 0 else None,
             }
     return rates
 
@@ -498,6 +487,7 @@ def estimand_correspondence(
     panel: StudyPanel,
     layer: str,
     assignment: Assignment | None = None,
+    data: DyadDataset | None = None,
 ) -> tuple[list[CorrespondenceRow], LogisticFit]:
     """Check the dyadic coefficients against their node-level counterparts.
 
@@ -505,10 +495,16 @@ def estimand_correspondence(
     dyadic side; the node side compares wave-3 partner-status link rates:
     UU vs the spillover contrast on in-links from untreated, UT/TU vs the
     total-effect contrasts on in-links from / out-links to untreated, and TT
-    vs treated in-links from treated against the control baseline.
+    vs treated in-links from treated against the control baseline. ``data``
+    may pass in the layer's already built "all" dyad sample for the same
+    assignment, so it is not built twice.
     """
     asg = assignment if assignment is not None else observed_assignment(panel)
-    data = dyad_dataset(panel, layer, sample="all", assignment=asg)
+    if data is None:
+        data = dyad_dataset(panel, layer, sample="all", assignment=asg)
+    elif data.layer != layer or data.sample != "all":
+        raise DyadicError(f"correspondence needs the 'all' dyad sample of layer {layer}, "
+                          f"not the '{data.sample}' sample of layer {data.layer}")
     fit = fit_categorical_logistic(*_coarse_labels_and_w3(data),
                                    outcome="wave3_link", scheme="coarse")
     rates = _partner_rates(panel, layer, 3, asg)

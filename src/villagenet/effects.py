@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import StudyPanel, dosage_group
-from .metrics import MetricTable
+from .metrics import METRICS, MetricTable
 from .networks import bfs_distances
 
 log = logging.getLogger(__name__)
@@ -295,20 +295,27 @@ def effect_suite(
     scaling: str = "control_w1",
     threads: int = 1,
     blocks: Mapping[str, str] | None = None,
+    tables: dict[tuple[str, tuple[str, ...]], MetricTable] | None = None,
 ) -> list[EffectEstimate]:
     """All requested contrasts, with permutation p-values when requested.
 
     The cross-product skips in/out-degree on undirected layers. All specs
     share one set of re-randomization draws derived from the master seed, so
-    the output is reproducible and independent of evaluation order.
+    the output is reproducible and independent of evaluation order. Each
+    (layer, variant) metric table holds only the requested metrics; when
+    ``tables`` is given, it receives them keyed by (layer, sorted variant
+    flags) for reuse.
     """
     from . import randomization  # late import: randomization builds on this module
     from .metrics import metric_table as build_table
 
+    requested = tuple(m for m in metrics if m in METRICS)
     estimates: list[EffectEstimate] = []
     for layer in layers:
         for variant in variants:
-            table = build_table(panel, layer, variant)
+            table = build_table(panel, layer, variant, requested)
+            if tables is not None:
+                tables[(layer, table.variants)] = table
             wanted = [m for m in metrics if m in table.metrics]
             specs = enumerate_specs([layer], wanted, scopes, kinds, [tuple(variant)],
                                     higher_order_mode)

@@ -4,16 +4,22 @@ Betweenness is computed on the directed graph over ordered source/target
 pairs and normalized by (n-1)(n-2). Closeness and local clustering use the
 undirected skeleton; nodes with no reachable peers (closeness) or fewer than
 two neighbors (clustering) are undefined, not zero, and stay out of group
-means. Shortest paths are unweighted and path multiplicities are counted
-exactly.
+means. Shortest paths are unweighted; path multiplicities are counted in
+float64, exact up to 2^53.
+
+All kernels work on the network's dense adjacency matrix and handle every
+source at once: a level-synchronous BFS (one matrix product per level) gives
+distances and path counts, Brandes' dependency accumulation takes one more
+product per level, and clustering counts triangles as ((S @ S) * S) on the
+skeleton S. That costs O(n^2) memory and O(n^3 * diameter) time per village
+network, sized for villages of up to a few hundred members.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +43,35 @@ def degree_metrics(network: LayerNetwork) -> dict[str, tuple[float, float | None
             for v in network.nodes}
 
 
+def _bfs_all_sources(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hop distances (-1 if unreachable) and shortest-path counts from every source.
+
+    Row s describes the BFS from node s. Each level is one product of the
+    frontier's path counts with the adjacency, so all sources advance together.
+    """
+    n = adj.shape[0]
+    dist = np.full((n, n), -1, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    sigma = np.eye(n)
+    frontier = sigma   # level 0: one path from each source to itself
+    level = 0
+    while True:
+        frontier = frontier @ adj
+        frontier[dist >= 0] = 0.0
+        reached = frontier > 0
+        if not reached.any():
+            return dist, sigma
+        level += 1
+        dist[reached] = level
+        sigma += frontier
+
+
+def _skeleton(network: LayerNetwork) -> np.ndarray:
+    """0/1 float adjacency of the undirected skeleton."""
+    adj = network.adjacency
+    return (adj | adj.T).astype(float)
+
+
 def betweenness_normalized(network: LayerNetwork) -> dict[str, float]:
     """Shortest-path betweenness B(v)/((n-1)(n-2)) over ordered pairs.
 
@@ -50,35 +85,17 @@ def betweenness_normalized(network: LayerNetwork) -> dict[str, float]:
         log.warning("betweenness with n=%d (<3) in %s/%s: all values 0 by convention",
                     n, network.village_id, network.layer)
         return {v: 0.0 for v in network.nodes}
-    adj = network.out_neighbors if network.directed else network.undirected_neighbors
-    score = {v: 0.0 for v in network.nodes}
-    for s in network.nodes:
-        # Brandes accumulation: one BFS from s, then dependency back-propagation.
-        sigma = {s: 1.0}
-        dist = {s: 0}
-        preds: dict[str, list[str]] = {s: []}
-        order: list[str] = []
-        queue: deque[str] = deque([s])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    sigma[w] = 0.0
-                    preds[w] = []
-                    queue.append(w)
-                if dist[w] == dist[u] + 1:
-                    sigma[w] += sigma[u]
-                    preds[w].append(u)
-        delta = {v: 0.0 for v in order}
-        for w in reversed(order):
-            for p in preds[w]:
-                delta[p] += sigma[p] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                score[w] += delta[w]
-    norm = (n - 1) * (n - 2)
-    return {v: score[v] / norm for v in network.nodes}
+    adj = network.adjacency.astype(float)
+    dist, sigma = _bfs_all_sources(adj)
+    # Brandes accumulation for all sources, deepest level first:
+    # delta[s, v] = sigma[s, v] * sum over successors w one level below v of
+    # (1 + delta[s, w]) / sigma[s, w].
+    delta = np.zeros_like(sigma)
+    for level in range(int(dist.max()), 1, -1):
+        t = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist == level)
+        delta += np.where(dist == level - 1, sigma * (t @ adj.T), 0.0)
+    score = delta.sum(axis=0) / ((n - 1) * (n - 2))
+    return dict(zip(network.nodes, score.tolist()))
 
 
 def closeness_normalized(network: LayerNetwork) -> dict[str, float | None]:
@@ -87,51 +104,21 @@ def closeness_normalized(network: LayerNetwork) -> dict[str, float | None]:
     For node v with reachable set R(v): (|R(v)| / sum of distances) scaled by
     |R(v)|/(n-1). Isolated nodes are undefined (None) rather than zero.
     """
-    adj = network.undirected_neighbors
+    dist, _ = _bfs_all_sources(_skeleton(network))
+    reachable = (dist > 0).sum(axis=1)
+    total = np.maximum(dist, 0).sum(axis=1)
     n = network.n
-    values: dict[str, float | None] = {}
-    for v in network.nodes:
-        dist = _bfs_from(adj, v)
-        reachable = len(dist) - 1
-        if reachable == 0:
-            values[v] = None
-            continue
-        total = sum(dist.values())
-        values[v] = (reachable / total) * (reachable / (n - 1))
-    return values
+    return {v: (int(r) / int(d)) * (int(r) / (n - 1)) if r else None
+            for v, r, d in zip(network.nodes, reachable, total)}
 
 
 def local_clustering(network: LayerNetwork) -> dict[str, float | None]:
     """Undirected local clustering; undefined for nodes with degree < 2."""
-    adj = network.undirected_neighbors
-    neighbor_sets = {v: set(ns) for v, ns in adj.items()}
-    values: dict[str, float | None] = {}
-    for v in network.nodes:
-        neighbors = adj[v]
-        k = len(neighbors)
-        if k < 2:
-            values[v] = None
-            continue
-        links = 0
-        for i, a in enumerate(neighbors):
-            a_set = neighbor_sets[a]
-            for b in neighbors[i + 1:]:
-                if b in a_set:
-                    links += 1
-        values[v] = links / (k * (k - 1) / 2)
-    return values
-
-
-def _bfs_from(adj: Mapping[str, tuple[str, ...]], source: str) -> dict[str, int]:
-    dist = {source: 0}
-    queue: deque[str] = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+    skel = _skeleton(network)
+    links = ((skel @ skel) * skel).sum(axis=1) / 2
+    k = skel.sum(axis=1)
+    return {v: float(t / (d * (d - 1) / 2)) if d >= 2 else None
+            for v, t, d in zip(network.nodes, links, k)}
 
 
 @dataclass
@@ -155,9 +142,7 @@ class MetricTable:
 
     @property
     def metrics(self) -> tuple[str, ...]:
-        if self.directed:
-            return METRICS
-        return tuple(m for m in METRICS if m not in DIRECTED_ONLY_METRICS)
+        return tuple(m for m in METRICS if (WAVES[0], m) in self.values)
 
     def column(self, wave: int, metric: str) -> np.ndarray:
         return self.values[(wave, metric)]
@@ -173,40 +158,44 @@ class MetricTable:
         return float(defined.mean()), int(defined.size)
 
 
-def metric_table(panel: StudyPanel, layer: str,
-                 variant_flags: Sequence[str] = ()) -> MetricTable:
-    """All applicable metrics for every individual, both waves, one layer."""
+def metric_table(panel: StudyPanel, layer: str, variant_flags: Sequence[str] = (),
+                 metrics: Sequence[str] = METRICS) -> MetricTable:
+    """Requested metrics for every individual, both waves, one layer.
+
+    Only requested metrics get a column; in/out-degree never do on undirected
+    layers. The default requests all of them.
+    """
+    unknown = sorted(set(metrics) - set(METRICS))
+    if unknown:
+        raise ValueError(f"unknown metric {unknown[0]}")
     variants = tuple(sorted(set(variant_flags)))
     individuals = tuple(sorted(panel.individuals))
     villages = tuple(panel.individuals[i].village_id for i in individuals)
     index = {ind: i for i, ind in enumerate(individuals)}
     probe = panel.network(panel.villages[0], 1, layer, variants)
     directed = probe.directed
+    wanted = tuple(m for m in METRICS if m in metrics
+                   and (directed or m not in DIRECTED_ONLY_METRICS))
+    kernels = tuple((m, fn) for m, fn in (("betweenness", betweenness_normalized),
+                                          ("closeness", closeness_normalized),
+                                          ("clustering", local_clustering)) if m in wanted)
+    degree_columns = tuple((k, m) for k, m in enumerate(("degree", "in_degree", "out_degree"))
+                           if m in wanted)
 
-    n = len(individuals)
-    values = {(w, m): np.full(n, np.nan) for w in WAVES for m in METRICS}
+    values = {(w, m): np.full(len(individuals), np.nan) for w in WAVES for m in wanted}
     flags: list[str] = []
     for village in panel.villages:
         for wave in WAVES:
             net = panel.network(village, wave, layer, variants)
-            if net.n < 3:
+            rows = [index[node] for node in net.nodes]
+            if degree_columns:
+                deg = degree_metrics(net)
+                for k, m in degree_columns:
+                    values[(wave, m)][rows] = [deg[v][k] for v in net.nodes]
+            for m, kernel in kernels:
+                got = kernel(net)
+                values[(wave, m)][rows] = [np.nan if got[v] is None else got[v]
+                                           for v in net.nodes]
+            if net.n < 3 and "betweenness" in wanted:
                 flags.append(f"{village}/wave{wave}: n={net.n} < 3, betweenness 0 by convention")
-            deg = degree_metrics(net)
-            btw = betweenness_normalized(net)
-            clo = closeness_normalized(net)
-            clu = local_clustering(net)
-            for node in net.nodes:
-                i = index[node]
-                total, in_d, out_d = deg[node]
-                values[(wave, "degree")][i] = total
-                if directed:
-                    values[(wave, "in_degree")][i] = in_d
-                    values[(wave, "out_degree")][i] = out_d
-                values[(wave, "betweenness")][i] = btw[node]
-                values[(wave, "closeness")][i] = np.nan if clo[node] is None else clo[node]
-                values[(wave, "clustering")][i] = np.nan if clu[node] is None else clu[node]
-    if not directed:
-        for w in WAVES:
-            for m in DIRECTED_ONLY_METRICS:
-                del values[(w, m)]
     return MetricTable(layer, variants, directed, individuals, villages, values, flags)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
+import numpy as np
+
 Edge = tuple[str, str]
 
 
@@ -66,6 +68,23 @@ class LayerNetwork:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only dense boolean matrix in ``nodes`` order, built on first use.
+
+        Entry (i, j) is True for an edge nodes[i] -> nodes[j]; undirected
+        networks are stored symmetric. One byte per node pair.
+        """
+        index = {v: i for i, v in enumerate(self.nodes)}
+        mat = np.zeros((self.n, self.n), dtype=bool)
+        if self.edges:
+            rows, cols = zip(*((index[u], index[v]) for u, v in self.edges))
+            mat[rows, cols] = True
+            if not self.directed:
+                mat[cols, rows] = True
+        mat.flags.writeable = False
+        return mat
 
     @cached_property
     def out_neighbors(self) -> dict[str, tuple[str, ...]]:

@@ -257,7 +257,7 @@ def permutation_pvalue(
     """Full permutation result (observed, null draws, p) for one contrast."""
     if table is None:
         from .metrics import metric_table
-        table = metric_table(panel, spec.layer, spec.variant_flags)
+        table = metric_table(panel, spec.layer, spec.variant_flags, (spec.metric,))
     observed = evaluate_contrast(panel, table, spec, scaling=scaling)
     stats = null_statistics(panel, table, [spec], permutations, master_seed,
                             scaling, threads, blocks)[0]

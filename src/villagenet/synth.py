@@ -427,7 +427,7 @@ def replicate_study(
     Replicate seeds derive from the scenario seed, so reports are reproducible
     and insensitive to evaluation order.
     """
-    from .metrics import metric_table
+    from .metrics import METRICS, metric_table
     from .randomization import permutation_suite
 
     if n_replicates < 1:
@@ -440,7 +440,8 @@ def replicate_study(
             {**scenario.to_dict(), "seed": rep_seed})
         panel, oracle = generate_panel(rep_scenario, scopes=scopes)
         for layer in layers:
-            table = metric_table(panel, layer)
+            table = metric_table(panel, layer,
+                                 metrics=tuple(m for m in metrics if m in METRICS))
             wanted = [m for m in metrics if m in table.metrics]
             specs = enumerate_specs([layer], wanted, scopes, kinds)
             if permutations > 0:

@@ -7,6 +7,7 @@ import pytest
 from scipy import optimize
 
 from villagenet.dyadic import (
+    SAMPLES,
     DyadicError,
     categorize_dyad,
     dyad_dataset,
@@ -263,6 +264,60 @@ class TestOddsRatios:
         # published rounding: 43.44% and 38.58%
         assert abs(100 * (math.exp(0.36137) - 1) - 43.44) < 0.15
         assert abs(abs(100 * (math.exp(-0.48684) - 1)) - 38.58) < 0.15
+
+
+@pytest.fixture(scope="module")
+def three_layer_panel():
+    return generate_panel(SyntheticScenario(
+        seed=9, arms=((0.0, 2), (0.5, 2)), village_size=(10, 16),
+        layers=("health", "friendship", "financial"),
+        edge_density={"health": 0.15, "friendship": 0.15, "financial": 0.1},
+    ))[0]
+
+
+class TestSharedAdjacency:
+    """dyad_dataset reads each network's cached dense adjacency."""
+
+    @pytest.mark.parametrize("layer", ["health", "aggregated"])
+    @pytest.mark.parametrize("sample", SAMPLES)
+    def test_dataset_matches_edge_lookup(self, three_layer_panel, layer, sample):
+        panel = three_layer_panel
+        refinement = node_refinement(panel, layer)
+        data = dyad_dataset(panel, layer, sample)
+        nets = {(v, w): panel.network(v, w, layer) for v in panel.villages for w in (1, 3)}
+        want = set()
+        for v in panel.villages:
+            for ego in panel.members(v):
+                for alter in panel.members(v):
+                    linked = nets[(v, 1)].has_edge(ego, alter)
+                    if ego != alter and (sample == "all" or linked == (sample == "existing_w1")):
+                        want.add((v, ego, alter))
+        got = set()
+        for k in range(len(data)):
+            v = data.village_ids[data.village_index[k]]
+            ego = data.members[data.village_index[k]][data.ego_index[k]]
+            alter = data.members[data.village_index[k]][data.alter_index[k]]
+            got.add((v, ego, alter))
+            assert data.link_w1[k] == nets[(v, 1)].has_edge(ego, alter)
+            assert data.link_w3[k] == nets[(v, 3)].has_edge(ego, alter)
+            coarse, fine = categorize_dyad(ego, alter, panel, refinement)
+            assert data.category_names[data.categories[k]] == coarse
+            assert data.fine_names[data.fine_categories[k]] == fine
+        assert len(got) == len(data)
+        assert got == want
+
+    def test_correspondence_reuses_a_built_dataset(self, three_layer_panel):
+        panel = three_layer_panel
+        rows, fit = estimand_correspondence(panel, "health")
+        data = dyad_dataset(panel, "health", sample="all")
+        rows2, fit2 = estimand_correspondence(panel, "health", data=data)
+        assert rows == rows2
+        assert fit.coefficients == fit2.coefficients
+
+    def test_correspondence_rejects_another_sample(self, three_layer_panel):
+        data = dyad_dataset(three_layer_panel, "health", sample="existing_w1")
+        with pytest.raises(DyadicError, match="'all' dyad sample"):
+            estimand_correspondence(three_layer_panel, "health", data=data)
 
 
 class TestCorrespondence:

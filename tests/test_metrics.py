@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from villagenet.metrics import (
+    METRICS,
     betweenness_normalized,
     closeness_normalized,
     degree_metrics,
@@ -12,6 +13,7 @@ from villagenet.metrics import (
     metric_table,
 )
 from villagenet.networks import LayerNetwork
+from villagenet.synth import SyntheticScenario, generate_panel
 
 from conftest import make_panel
 
@@ -310,3 +312,94 @@ class TestMetricTable:
     def test_unknown_layer_errors(self, two_village_panel):
         with pytest.raises(ValueError, match="unknown layer"):
             metric_table(two_village_panel, "gossip")
+
+
+# ---------------------------------------------------------------------------
+# The dense all-sources kernels against the oracles on arbitrary small graphs.
+
+@st.composite
+def small_graphs(draw):
+    """Random, complete, empty or two-component graphs, directed or not."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 12)))
+    directed = draw(st.booleans())
+    shape = draw(st.sampled_from(["random", "complete", "empty", "two_components"]))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    if shape == "complete":
+        edges = pairs
+    elif shape == "empty":
+        edges = []
+    else:
+        if shape == "two_components":
+            half = n // 2
+            pairs = [(u, v) for u, v in pairs if (u < half) == (v < half)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                              max_size=len(pairs))) if pairs else []
+    return net_from_edges(n, edges, directed=directed)
+
+
+def _assert_matches(got, want, tol=1e-12):
+    assert set(got) == set(want)
+    for node, value in want.items():
+        if value is None:
+            assert got[node] is None, node
+        else:
+            assert got[node] == pytest.approx(value, abs=tol), node
+
+
+class TestDenseKernelsMatchOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs())
+    def test_betweenness(self, net):
+        want = (oracle_betweenness(net) if net.n >= 3
+                else {v: 0.0 for v in net.nodes})
+        _assert_matches(betweenness_normalized(net), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs())
+    def test_closeness(self, net):
+        _assert_matches(closeness_normalized(net), oracle_closeness(net))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs())
+    def test_clustering(self, net):
+        _assert_matches(local_clustering(net), oracle_clustering(net))
+
+    def test_adjacency_is_read_only_and_ordered(self):
+        net = net_from_edges(3, [(2, 0)])
+        adj = net.adjacency
+        assert adj[2, 0] and adj.sum() == 1
+        assert net.adjacency is adj
+        with pytest.raises(ValueError):
+            adj[0, 1] = True
+
+
+@pytest.fixture(scope="module")
+def synthetic_panel():
+    return generate_panel(SyntheticScenario(
+        seed=3, arms=((0.0, 2), (0.5, 2)), village_size=(8, 14),
+        layers=("health", "friendship", "financial"),
+        edge_density={"health": 0.15, "friendship": 0.15, "financial": 0.1},
+    ))[0]
+
+
+@pytest.fixture(scope="module")
+def full_tables(synthetic_panel):
+    return {layer: metric_table(synthetic_panel, layer) for layer in ("health", "aggregated")}
+
+
+class TestMetricSubsets:
+    @settings(max_examples=40, deadline=None)
+    @given(layer=st.sampled_from(["health", "aggregated"]),
+           subset=st.sets(st.sampled_from(METRICS)))
+    def test_subset_columns_equal_full_table(self, synthetic_panel, full_tables,
+                                             layer, subset):
+        full = full_tables[layer]
+        part = metric_table(synthetic_panel, layer, metrics=tuple(subset))
+        assert part.metrics == tuple(m for m in full.metrics if m in subset)
+        assert set(part.values) == {(w, m) for w in (1, 3) for m in part.metrics}
+        for key, col in part.values.items():
+            np.testing.assert_array_equal(col, full.values[key])
+
+    def test_unknown_metric_is_an_error(self, synthetic_panel):
+        with pytest.raises(ValueError, match="unknown metric"):
+            metric_table(synthetic_panel, "health", metrics=("degree", "pagerank"))
