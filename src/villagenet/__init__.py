@@ -40,8 +40,6 @@ from .effects import (
     EffectEstimate,
     classify_groups,
     classify_spillover_order,
-    counterfactual_trend,
-    did_statistic,
     effect_suite,
     observed_assignment,
 )

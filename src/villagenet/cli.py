@@ -33,8 +33,6 @@ from .dyadic import (
 from .effects import (
     ContrastSpec,
     EffectError,
-    classify_groups,
-    counterfactual_trend,
     effect_suite,
     group_change,
     observed_assignment,
@@ -154,6 +152,11 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
             config[name] = default
         else:
             raise IngestionError(f"missing required option --{name.replace('_', '-')}")
+    # permtest needs at least one draw; effects and replicate take 0 as "no p-values"
+    minimums = {"threads": 1, "permutations": 1 if command == "permtest" else 0}
+    for name, low in minimums.items():
+        if name in config and int(config[name]) < low:
+            raise IngestionError(f"--{name} must be >= {low}, got {config[name]}")
     return config
 
 
@@ -202,7 +205,6 @@ def run_effects(config: dict, outdir: Path) -> None:
     scopes = _parse_list(str(config["scopes"]))
     kinds = _parse_list(str(config["kinds"]))
     variants = _parse_variants(str(config["variants"]))
-    tables: dict = {}
     estimates = effect_suite(
         panel, layers, metrics, scopes, kinds, variants,
         permutations=int(config["permutations"]),
@@ -211,23 +213,19 @@ def run_effects(config: dict, outdir: Path) -> None:
         scaling=str(config["scaling"]),
         threads=int(config["threads"]),
         blocks=_blocks_from(config),
-        tables=tables,
     )
     vio.write_effects(estimates, outdir / "effects.csv")
-    vio.write_plot_data(_plot_rows(panel, estimates, tables), outdir / "plotdata.csv")
+    vio.write_plot_data(_plot_rows(estimates), outdir / "plotdata.csv")
     print(f"wrote {len(estimates)} effect estimates")
 
 
-def _plot_rows(panel, estimates, tables) -> list[dict]:
-    """Plot series per estimate, read from the metric tables effect_suite built."""
+def _plot_rows(estimates) -> list[dict]:
+    """Plot series per estimate, from the group means of its observed draw."""
     rows = []
     for est in estimates:
         s = est.spec
-        table = tables[(s.layer, s.variant_flags)]
-        focal, comparison = classify_groups(panel, s)
-        f1, f3, _ = group_change(table, s.metric, focal)
-        c1, c3, _ = group_change(table, s.metric, comparison)
-        _, expected = counterfactual_trend(table, s.metric, focal, comparison)
+        f1, f3, c1, c3 = est.group_means
+        expected = f1 + (c3 - c1)   # parallel-trend counterfactual
         variant = "+".join(s.variant_flags) if s.variant_flags else "none"
         base = {"kind": s.kind, "scope": s.dosage_scope, "layer": s.layer,
                 "metric": s.metric, "variant": variant}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from math import floor
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .networks import Edge, LayerNetwork, NetworkError, require_same_support
 
@@ -278,10 +278,9 @@ def build_layer(
     layer_spec: LayerSpec,
     village: str,
     wave: int,
-    roster: Sequence[Individual],
+    nodes: Sequence[str],
 ) -> LayerNetwork:
-    """Union of nominations for one layer; inverted questions flip direction."""
-    nodes = tuple(sorted(ind.id for ind in roster if ind.village_id == village))
+    """Union of nominations among a village's member ids; inverted questions flip direction."""
     node_set = set(nodes)
     question_set = set(layer_spec.question_ids)
     edges: set[Edge] = set()
@@ -345,6 +344,9 @@ def exclude_intra_household(network: LayerNetwork,
     return network.replace_edges(kept)
 
 
+_T = TypeVar("_T")
+
+
 @dataclass
 class StudyPanel:
     """Immutable bundle of individuals, design, and per-wave layer networks."""
@@ -355,6 +357,7 @@ class StudyPanel:
 
     def __post_init__(self):
         self._derived: dict[tuple, LayerNetwork] = {}
+        self._compiled: dict[tuple, object] = {}
         grouped: dict[str, list[str]] = {}
         for ind in self.individuals.values():
             grouped.setdefault(ind.village_id, []).append(ind.id)
@@ -377,6 +380,12 @@ class StudyPanel:
 
     def treated_ids(self) -> frozenset[str]:
         return frozenset(i for i, ind in self.individuals.items() if ind.treated)
+
+    def compiled(self, key: tuple, build: Callable[[], _T]) -> _T:
+        """A structure derived from this panel (e.g. a compiled index), built once per key."""
+        if key not in self._compiled:
+            self._compiled[key] = build()
+        return self._compiled[key]
 
     def network(self, village: str, wave: int, layer: str,
                 variants: Sequence[str] = ()) -> LayerNetwork:
@@ -464,7 +473,9 @@ def build_panel(
             where = f" (line {resp.line})" if resp.line is not None else ""
             raise IngestionError(f"unknown question id {resp.question_id}{where}")
 
-    roster_individuals = list(individuals.values())
+    members: dict[str, list[str]] = {}
+    for ind_id in sorted(individuals):
+        members.setdefault(individuals[ind_id].village_id, []).append(ind_id)
     by_cell: dict[tuple[str, int, str], list[SurveyResponse]] = {}
     for resp in responses:
         layer = question_to_layer[resp.question_id].layer
@@ -476,6 +487,6 @@ def build_panel(
             for spec in layer_specs:
                 cell = by_cell.get((village, wave, spec.layer), [])
                 networks[(village, wave, spec.layer)] = build_layer(
-                    cell, spec, village, wave, roster_individuals
+                    cell, spec, village, wave, tuple(members[village])
                 )
     return StudyPanel(individuals, design, networks)

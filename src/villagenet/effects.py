@@ -3,8 +3,23 @@
 Every contrast compares a focal group's wave-1-to-wave-3 change in a node
 metric against a comparison group's change, then scales the difference by the
 wave-1 mean of the metric in fully untreated villages so effects read as
-percentages. Group membership is a function of the treatment assignment, so
-the same code classifies both the observed assignment and re-randomized draws.
+percentages.
+
+Group membership is a function of the treatment assignment, so one kernel
+classifies both the observed assignment and every re-randomized draw.
+A (panel, layer, variant) is compiled once into integer indices
+(`GroupIndex`, kept on the panel, so single-contrast helpers reuse it): each
+individual's village in `MetricTable.individuals` order, the wave-1 skeleton
+as (src, dst) index arrays and its connected components. `ContrastKernel`
+adds a value matrix X = [V1 | V3 | defined1 | defined3] over the requested
+metrics with undefined values set to 0. A draw is a dosage per village plus a treated
+flag per individual. Its focal, comparison and control-reference groups are
+boolean rows; first-order exposure is one bincount over the skeleton edges and
+"a treated node is reachable" one bincount over component ids, so no BFS runs
+per draw. All group sums and defined counts come from one product rows @ X,
+and the statistic of every spec follows elementwise. Group means are sums
+over defined counts, so for integer-valued metrics (the degree family) they
+equal the per-group mean bit for bit.
 """
 
 from __future__ import annotations
@@ -13,9 +28,10 @@ import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import StudyPanel, dosage_group
+import numpy as np
+
+from .core import HIGH_DOSAGES, LOW_DOSAGES, WAVES, StudyPanel, dosage_group
 from .metrics import METRICS, MetricTable
-from .networks import bfs_distances
 
 log = logging.getLogger(__name__)
 
@@ -84,6 +100,12 @@ class ContrastSpec:
 
 @dataclass(frozen=True)
 class EffectEstimate:
+    """One contrast's statistic.
+
+    ``group_means`` holds the means behind it: focal wave 1, focal wave 3,
+    comparison wave 1, comparison wave 3.
+    """
+
     spec: ContrastSpec
     raw_did: float
     pct_effect: float
@@ -92,57 +114,267 @@ class EffectEstimate:
     p_value: float | None = None
     permutations: int = 0
     skipped_draws: int = 0
+    group_means: tuple[float, float, float, float] | None = None
+
+
+def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Connected-component label (smallest member index) of every node.
+
+    Min-label propagation over the symmetric edge list with pointer jumping;
+    every label stays a node of the same component and only decreases.
+    """
+    label = np.arange(n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, src, label[dst])
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
+class GroupIndex:
+    """One (panel, layer, variant) compiled to integer indices.
+
+    Individuals follow `MetricTable.individuals` order (sorted study-wide) and
+    villages the panel's order. The wave-1 skeleton is kept as (src, dst)
+    index arrays holding each tie in both directions, with its connected
+    components as one label per individual. ``observed`` is the panel's own
+    assignment, encoded. Use `group_index` to get the panel's cached copy.
+    """
+
+    def __init__(self, panel: StudyPanel, layer: str, variant_flags: Sequence[str] = ()):
+        self.individuals = tuple(sorted(panel.individuals))
+        self.villages = panel.villages
+        position = {ind: k for k, ind in enumerate(self.individuals)}
+        village_pos = {v: k for k, v in enumerate(self.villages)}
+        self.village = np.array([village_pos[panel.individuals[i].village_id]
+                                 for i in self.individuals], dtype=np.intp)
+        edges = np.fromiter((position[node] for v in self.villages
+                             for edge in panel.network(v, 1, layer, variant_flags).edges
+                             for node in edge), dtype=np.intp).reshape(-1, 2)
+        self.src = np.concatenate([edges[:, 0], edges[:, 1]])
+        self.dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        self.component = _components(len(self.individuals), self.src, self.dst)
+        self.observed = self.encode(observed_assignment(panel))
+
+    def encode(self, assignment: Assignment) -> tuple[np.ndarray, np.ndarray]:
+        """An assignment as (dosage per village, treated flag per individual)."""
+        return (np.array([assignment.village_dosages[v] for v in self.villages], dtype=float),
+                np.array([i in assignment.treated for i in self.individuals], dtype=bool))
+
+    def in_scope(self, dosages: np.ndarray, scope: str) -> np.ndarray:
+        """Members of the treated-side villages a dosage scope selects."""
+        if scope == "all":
+            villages = dosages != 0.0
+        elif scope in ("low", "high"):
+            villages = np.isin(dosages, tuple(LOW_DOSAGES if scope == "low" else HIGH_DOSAGES))
+        else:
+            raise EffectError(f"unknown dosage scope {scope}")
+        return villages[self.village]
+
+    def exposure(self, treated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(has a treated wave-1 neighbor, shares a skeleton component with a treated node)."""
+        n = treated.size
+        exposed = np.bincount(self.src, weights=treated[self.dst], minlength=n) > 0
+        reachable = np.bincount(self.component, weights=treated, minlength=n) > 0
+        return exposed, reachable[self.component]
+
+
+def group_index(panel: StudyPanel, layer: str, variant_flags: Sequence[str] = ()) -> GroupIndex:
+    """The panel's `GroupIndex` for (layer, variant), compiled on first use and kept."""
+    variants = tuple(sorted(set(variant_flags)))
+    return panel.compiled(("group_index", layer, variants),
+                          lambda: GroupIndex(panel, layer, variants))
+
+
+# Group rows a contrast reads, keyed by (group, scope). The direct contrast's
+# focal group is the total contrast's, and its comparison (untreated members of
+# scope villages) is the spillover focal group.
+_FOCAL_GROUP = {"direct": "total"}
+_CONTROL_UNTREATED = ("control_untreated", "all")
+_CONTROL = ("control", "all")
+
+
+class ContrastKernel:
+    """Groups and percentage DiD of many specs under any draw, one mask product each.
+
+    All specs share one layer and variant. Without a table only the groups
+    (`masks`) are available.
+    """
+
+    def __init__(self, panel: StudyPanel, specs: Sequence[ContrastSpec],
+                 table: MetricTable | None = None):
+        self.specs = tuple(specs)
+        layer, variants = self.specs[0].layer, self.specs[0].variant_flags
+        if any((s.layer, s.variant_flags) != (layer, variants) for s in self.specs):
+            raise EffectError("a contrast kernel needs specs of one layer and variant")
+        self.index = group_index(panel, layer, variants)
+        self.individuals = self.index.individuals
+        self.observed = self.index.observed
+        keys: dict[tuple[str, str], int] = {}
+        self.focal = np.array([keys.setdefault((_FOCAL_GROUP.get(s.kind, s.kind), s.dosage_scope),
+                                               len(keys)) for s in self.specs])
+        self.comparison = np.array([keys.setdefault(("spillover", s.dosage_scope)
+                                                    if s.kind == "direct" else _CONTROL_UNTREATED,
+                                                    len(keys)) for s in self.specs])
+        self.reference = keys.setdefault(_CONTROL, len(keys))
+        self.keys = tuple(keys)
+        self.metrics = tuple(dict.fromkeys(s.metric for s in self.specs))
+        m = len(self.metrics)
+        k = np.array([self.metrics.index(s.metric) for s in self.specs])
+        # Flat positions, in a draw's (groups, 4m) sums, of each spec's value sums
+        # [focal w1, focal w3, comparison w1, comparison w3, reference] for each
+        # reference wave; the matching defined counts sit 2m columns further on.
+        def at(row, block):
+            return row * 4 * m + block * m + k
+
+        self.positions = tuple(
+            np.stack([at(self.focal, 0), at(self.focal, 1), at(self.comparison, 0),
+                      at(self.comparison, 1), at(self.reference, ref_block)], axis=1)
+            for ref_block in (0, 1))
+        self.values = None if table is None else self._values(table)
+
+    def _values(self, table: MetricTable) -> np.ndarray:
+        """X = [V1 | V3 | defined1 | defined3], one column per metric in each block."""
+        rows = [table.index[i] for i in self.individuals]
+        v = np.column_stack([table.column(w, m)[rows] for w in WAVES for m in self.metrics])
+        defined = ~np.isnan(v)
+        return np.hstack([np.where(defined, v, 0.0), defined])
+
+    def masks(self, dosages: np.ndarray, treated: np.ndarray) -> np.ndarray:
+        """Boolean (groups, individuals) rows of one draw, in ``keys`` order."""
+        index = self.index
+        untreated = ~treated
+        control = (dosages == 0.0)[index.village]
+        if any(g.startswith("spillover_") for g, _ in self.keys):
+            exposed, reachable = index.exposure(treated)
+        scoped = {scope: index.in_scope(dosages, scope) for scope in {s for _, s in self.keys}}
+        rows = np.empty((len(self.keys), treated.size), dtype=bool)
+        for g, (group, scope) in enumerate(self.keys):
+            members = scoped[scope]
+            if group == "control":
+                rows[g] = control
+            elif group == "control_untreated":
+                rows[g] = control & untreated
+            elif group == "overall":
+                rows[g] = members
+            elif group == "total":
+                rows[g] = members & treated
+            elif group == "spillover":
+                rows[g] = members & untreated
+            elif group == "spillover_first_order":
+                rows[g] = members & untreated & exposed
+            else:  # spillover_higher_order: unexposed but reachable, distance >= 2
+                rows[g] = members & untreated & ~exposed & reachable
+        return rows
+
+    def group_error(self, k: int, dosages: np.ndarray, n_focal: int,
+                    n_comparison: int) -> str | None:
+        """Why spec k has no focal or comparison group under a draw, or None."""
+        label = self.specs[k].label()
+        if not (dosages == 0.0).any():
+            return f"no control villages available for {label}"
+        if not self.index.in_scope(dosages, self.specs[k].dosage_scope).any():
+            return f"no treated villages in scope for {label}"
+        if n_focal == 0:
+            return f"empty focal group for {label}"
+        if n_comparison == 0:
+            return f"empty comparison group for {label}"
+        return None
+
+    def evaluate(self, dosages: np.ndarray, treated: np.ndarray,
+                 scaling: str = "control_w1") -> "Evaluation":
+        """Every spec's DiD under one draw; ``pct`` is NaN where a spec is undefined."""
+        if scaling not in SCALINGS:
+            raise EffectError(f"unknown scaling {scaling}")
+        if self.values is None:
+            raise EffectError("contrast kernel compiled without a metric table")
+        rows = self.masks(dosages, treated)
+        sizes = rows.sum(axis=1)
+        sums = (rows.astype(float) @ self.values).ravel()
+        ref_block = SCALINGS.index(scaling)
+        positions = self.positions[ref_block]
+        defined = sums[positions + 2 * len(self.metrics)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = sums[positions] / defined
+            f1, f3, c1, c3, ref = mean.T
+            raw = (f3 - f1) - (c3 - c1)
+            pct = 100.0 * raw / ref
+        f, c = sizes[self.focal], sizes[self.comparison]
+        valid = (f > 0) & (c > 0) & (defined > 0).all(axis=1) & (ref != 0.0)
+        return Evaluation(self, dosages, WAVES[ref_block], f, c, defined, mean, raw,
+                          np.where(valid, pct, np.nan))
+
+    def estimates(self, dosages: np.ndarray, treated: np.ndarray,
+                  scaling: str = "control_w1") -> list[EffectEstimate]:
+        """Every spec's estimate under one draw; raises at the first undefined one."""
+        ev = self.evaluate(dosages, treated, scaling)
+        return [ev.estimate(k) for k in range(len(self.specs))]
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """Per-spec arrays of one draw through a `ContrastKernel`."""
+
+    kernel: ContrastKernel
+    dosages: np.ndarray
+    ref_wave: int
+    n_focal: np.ndarray
+    n_comparison: np.ndarray
+    defined: np.ndarray   # (spec, [focal w1, focal w3, comparison w1, comparison w3, ref])
+    mean: np.ndarray      # same layout as ``defined``
+    raw: np.ndarray
+    pct: np.ndarray
+
+    def error(self, k: int) -> str | None:
+        """Why spec k has no statistic under this draw, or None if it has one."""
+        spec = self.kernel.specs[k]
+        defined = self.defined[k]
+        error = self.kernel.group_error(k, self.dosages, self.n_focal[k], self.n_comparison[k])
+        if error:
+            return error
+        for size, counts in ((self.n_focal[k], defined[0:2]),
+                             (self.n_comparison[k], defined[2:4])):
+            if (counts == 0).any():
+                return f"group of {size} has no defined {spec.metric} values"
+        if defined[4] == 0 or self.mean[k, 4] == 0.0:
+            return (f"unscalable statistic: control wave-{self.ref_wave} mean of "
+                    f"{spec.metric} is {'undefined' if defined[4] == 0 else 'zero'}")
+        return None
+
+    def estimate(self, k: int) -> EffectEstimate:
+        """Spec k's estimate; EffectError when it is undefined under this draw."""
+        if np.isnan(self.pct[k]):
+            raise EffectError(self.error(k))
+        f1, f3, c1, c3, _ = (float(x) for x in self.mean[k])
+        return EffectEstimate(spec=self.kernel.specs[k], raw_did=float(self.raw[k]),
+                              pct_effect=float(self.pct[k]), n_focal=int(self.n_focal[k]),
+                              n_comparison=int(self.n_comparison[k]),
+                              group_means=(f1, f3, c1, c3))
 
 
 def classify_groups(panel: StudyPanel, spec: ContrastSpec,
                     assignment: Assignment | None = None) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Focal and comparison individual ids for a contrast.
+    """Focal and comparison individual ids for a contrast (sorted ids).
 
     overall:   everyone in treated villages in scope  vs  untreated in 0% villages
     total:     treated individuals in scope           vs  untreated in 0% villages
     spillover: untreated in scope's treated villages  vs  untreated in 0% villages
     direct:    treated in scope's treated villages    vs  untreated in those villages
     The first/higher-order kinds restrict the spillover focal group by the
-    wave-1 adjacency classification.
+    wave-1 exposure classification (`classify_spillover_order`).
     """
-    asg = assignment if assignment is not None else observed_assignment(panel)
-    scope_villages = asg.scope_villages(spec.dosage_scope)
-    controls = asg.control_villages()
-    if not controls:
-        raise EffectError(f"no control villages available for {spec.label()}")
-    if not scope_villages:
-        raise EffectError(f"no treated villages in scope for {spec.label()}")
-
-    control_untreated = tuple(
-        i for v in controls for i in panel.members(v) if i not in asg.treated
-    )
-    scope_members = tuple(i for v in scope_villages for i in panel.members(v))
-
-    if spec.kind == "overall":
-        focal: tuple[str, ...] = scope_members
-        comparison = control_untreated
-    elif spec.kind == "total":
-        focal = tuple(i for i in scope_members if i in asg.treated)
-        comparison = control_untreated
-    elif spec.kind == "spillover":
-        focal = tuple(i for i in scope_members if i not in asg.treated)
-        comparison = control_untreated
-    elif spec.kind == "direct":
-        focal = tuple(i for i in scope_members if i in asg.treated)
-        comparison = tuple(i for i in scope_members if i not in asg.treated)
-    else:
-        order = "first_order" if spec.kind == "spillover_first_order" else "higher_order"
-        labels = classify_spillover_order(
-            panel, spec.layer, spec.higher_order_mode, assignment=asg,
-            variant_flags=spec.variant_flags, scope=spec.dosage_scope,
-        )
-        focal = tuple(i for i in scope_members if labels.get(i) == order)
-        comparison = control_untreated
-    if not focal:
-        raise EffectError(f"empty focal group for {spec.label()}")
-    if not comparison:
-        raise EffectError(f"empty comparison group for {spec.label()}")
-    return focal, comparison
+    kernel = ContrastKernel(panel, [spec])
+    dosages, treated = (kernel.observed if assignment is None
+                        else kernel.index.encode(assignment))
+    rows = kernel.masks(dosages, treated)
+    focal, comparison = rows[kernel.focal[0]], rows[kernel.comparison[0]]
+    error = kernel.group_error(0, dosages, focal.sum(), comparison.sum())
+    if error:
+        raise EffectError(error)
+    ids = np.array(kernel.individuals, dtype=object)
+    return tuple(ids[focal]), tuple(ids[comparison])
 
 
 def classify_spillover_order(
@@ -165,32 +397,18 @@ def classify_spillover_order(
     """
     if mode not in HIGHER_ORDER_MODES:
         raise EffectError(f"unknown higher-order mode {mode}")
-    asg = assignment if assignment is not None else observed_assignment(panel)
-    labels: dict[str, str] = {}
-    unreachable = 0
-    for village in asg.scope_villages(scope):
-        net = panel.network(village, 1, layer, variant_flags)
-        adj = net.undirected_neighbors
-        treated_here = [i for i in net.nodes if i in asg.treated]
-        dist = bfs_distances(adj, treated_here)
-        for node in net.nodes:
-            if node in asg.treated:
-                continue
-            d = dist.get(node)
-            if d == 1:
-                labels[node] = "first_order"
-            elif d is not None and d >= 2:
-                labels[node] = "higher_order"
-            else:  # no path to any treated node
-                if mode == "distance_only" and include_unreachable:
-                    labels[node] = "higher_order"
-                else:
-                    labels[node] = "neither"
-                    unreachable += 1
+    index = group_index(panel, layer, variant_flags)
+    dosages, treated = index.observed if assignment is None else index.encode(assignment)
+    exposed, reachable = index.exposure(treated)
+    if mode == "distance_only" and include_unreachable:
+        reachable = np.ones_like(reachable)
+    members = index.in_scope(dosages, scope) & ~treated
+    labels = np.where(exposed, "first_order", np.where(reachable, "higher_order", "neither"))
+    unreachable = int((members & ~exposed & ~reachable).sum())
     if unreachable:
         log.debug("spillover-order classification: %d untreated nodes with no path "
                   "to a treated node labelled 'neither'", unreachable)
-    return labels
+    return {index.individuals[i]: str(labels[i]) for i in np.flatnonzero(members)}
 
 
 def group_change(table: MetricTable, metric: str, ids: Sequence[str]) -> tuple[float, float, int]:
@@ -200,47 +418,6 @@ def group_change(table: MetricTable, metric: str, ids: Sequence[str]) -> tuple[f
     if n1 == 0 or n3 == 0:
         raise EffectError(f"group of {len(ids)} has no defined {metric} values")
     return m1, m3, min(n1, n3)
-
-
-def did_statistic(
-    table: MetricTable,
-    metric: str,
-    focal: Sequence[str],
-    comparison: Sequence[str],
-    control_reference: Sequence[str],
-    scaling: str = "control_w1",
-) -> tuple[float, float]:
-    """Raw and percentage-scaled difference-in-differences.
-
-    raw = (focal w3 mean - focal w1 mean) - (comparison w3 mean - comparison
-    w1 mean); the percentage divides by the control villages' wave-1 mean
-    (or their wave-3 mean under the alternative scaling).
-    """
-    if scaling not in SCALINGS:
-        raise EffectError(f"unknown scaling {scaling}")
-    f1, f3, _ = group_change(table, metric, focal)
-    c1, c3, _ = group_change(table, metric, comparison)
-    raw = (f3 - f1) - (c3 - c1)
-    ref_wave = 1 if scaling == "control_w1" else 3
-    ref, n_ref = table.group_mean(ref_wave, metric, control_reference)
-    if n_ref == 0 or ref == 0.0:
-        raise EffectError(
-            f"unscalable statistic: control wave-{ref_wave} mean of {metric} is "
-            f"{'undefined' if n_ref == 0 else 'zero'}"
-        )
-    return raw, 100.0 * raw / ref
-
-
-def counterfactual_trend(
-    table: MetricTable,
-    metric: str,
-    focal: Sequence[str],
-    comparison: Sequence[str],
-) -> tuple[float, float]:
-    """Focal wave-1 mean and its expected wave-3 mean under a parallel trend."""
-    f1, _, _ = group_change(table, metric, focal)
-    c1, c3, _ = group_change(table, metric, comparison)
-    return f1, f1 + (c3 - c1)
 
 
 def enumerate_specs(
@@ -274,12 +451,9 @@ def evaluate_contrast(
     scaling: str = "control_w1",
 ) -> EffectEstimate:
     """Point estimate (no p-value) for one contrast under one assignment."""
-    asg = assignment if assignment is not None else observed_assignment(panel)
-    focal, comparison = classify_groups(panel, spec, asg)
-    control = tuple(i for v in asg.control_villages() for i in panel.members(v))
-    raw, pct = did_statistic(table, spec.metric, focal, comparison, control, scaling)
-    return EffectEstimate(spec=spec, raw_did=raw, pct_effect=pct,
-                          n_focal=len(focal), n_comparison=len(comparison))
+    kernel = ContrastKernel(panel, [spec], table)
+    draw = kernel.observed if assignment is None else kernel.index.encode(assignment)
+    return kernel.estimates(*draw, scaling)[0]
 
 
 def effect_suite(
@@ -295,16 +469,14 @@ def effect_suite(
     scaling: str = "control_w1",
     threads: int = 1,
     blocks: Mapping[str, str] | None = None,
-    tables: dict[tuple[str, tuple[str, ...]], MetricTable] | None = None,
 ) -> list[EffectEstimate]:
     """All requested contrasts, with permutation p-values when requested.
 
     The cross-product skips in/out-degree on undirected layers. All specs
     share one set of re-randomization draws derived from the master seed, so
     the output is reproducible and independent of evaluation order. Each
-    (layer, variant) metric table holds only the requested metrics; when
-    ``tables`` is given, it receives them keyed by (layer, sorted variant
-    flags) for reuse.
+    (layer, variant) metric table holds only the requested metrics, and each
+    (layer, variant) is compiled into one `ContrastKernel`.
     """
     from . import randomization  # late import: randomization builds on this module
     from .metrics import metric_table as build_table
@@ -314,18 +486,17 @@ def effect_suite(
     for layer in layers:
         for variant in variants:
             table = build_table(panel, layer, variant, requested)
-            if tables is not None:
-                tables[(layer, table.variants)] = table
             wanted = [m for m in metrics if m in table.metrics]
             specs = enumerate_specs([layer], wanted, scopes, kinds, [tuple(variant)],
                                     higher_order_mode)
+            if not specs:
+                continue
             if permutations > 0:
-                results = randomization.permutation_suite(
+                estimates.extend(randomization.permutation_suite(
                     panel, table, specs, permutations, master_seed,
                     scaling=scaling, threads=threads, blocks=blocks,
-                )
-                estimates.extend(results)
+                ))
             else:
-                for spec in specs:
-                    estimates.append(evaluate_contrast(panel, table, spec, scaling=scaling))
+                kernel = ContrastKernel(panel, specs, table)
+                estimates.extend(kernel.estimates(*kernel.observed, scaling))
     return estimates

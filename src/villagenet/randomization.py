@@ -5,27 +5,34 @@ the village dosage labels (stage 1, optionally within blocks) and re-samples
 treated households at the drawn dosage (stage 2). Group membership and the
 test statistic are recomputed per draw. Each draw owns an independent RNG
 stream derived from (master_seed, draw_index), so results are identical no
-matter how draws are batched across workers.
+matter how draws are split across worker processes.
+
+The design is compiled once into index arrays (`DesignIndex`): the observed
+dosage per village, each village's households as a slice of one global
+household order, and each individual's household index. A draw
+(`permute_assignment`, the only draw path) writes a dosage per village and a
+treated flag per household directly, with the same RNG calls in the same
+order as always: one ``permutation`` per block group (blocks sorted), then
+one ``choice(n_households, n_treated, replace=False)`` per village in design
+order. Individual treatment is one gather from the household flags, and the
+`effects.ContrastKernel` turns the draw into every spec's statistic with one
+mask product; the observed statistic goes through the same kernel, so
+``|T| >= |obs|`` ties are decided by one code path.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Mapping, Sequence
 
-import multiprocessing
 import numpy as np
 
 from .core import StudyPanel, TreatmentDesign, treated_household_count
-from .effects import (
-    Assignment,
-    ContrastSpec,
-    EffectError,
-    EffectEstimate,
-    evaluate_contrast,
-)
+from .effects import ContrastKernel, ContrastSpec, EffectEstimate
 from .metrics import MetricTable
 
 log = logging.getLogger(__name__)
@@ -44,16 +51,64 @@ def derive_stream(master_seed: int, draw_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-@dataclass(frozen=True)
+class DesignIndex:
+    """A treatment design compiled to index arrays for drawing assignments.
+
+    Villages follow the design's (sorted) order; households are numbered
+    village by village, in sorted order within each village.
+    """
+
+    def __init__(self, design: TreatmentDesign, blocks: Mapping[str, str] | None = None):
+        self.villages = design.villages
+        self.labels = np.array([design.village_dosages[v] for v in self.villages], dtype=float)
+        self.households = tuple(design.households(v) for v in self.villages)
+        self.sizes = [len(h) for h in self.households]
+        self.offsets = [0, *np.cumsum(self.sizes).tolist()]
+        if blocks is None:
+            self.groups = [np.arange(len(self.villages))]
+        else:
+            missing = [v for v in self.villages if v not in blocks]
+            if missing:
+                raise RandomizationError(f"villages without a block label: {missing}")
+            self.groups = [np.array([k for k, v in enumerate(self.villages) if blocks[v] == b])
+                           for b in sorted(set(blocks[v] for v in self.villages))]
+
+    def household_of(self, panel: StudyPanel, individuals: Sequence[str]) -> np.ndarray:
+        """Global household index of each individual."""
+        position = {(v, h): self.offsets[k] + j
+                    for k, (v, hs) in enumerate(zip(self.villages, self.households))
+                    for j, h in enumerate(hs)}
+        return np.array([position[(panel.individuals[i].village_id,
+                                   panel.individuals[i].household_id)] for i in individuals],
+                        dtype=np.intp)
+
+
+@dataclass(frozen=True, eq=False)
 class AssignmentDraw:
-    village_dosages: dict[str, float]
-    household_treatments: dict[str, dict[str, bool]]
-    draw_index: int = -1
-    seed_path: tuple[int, int] | None = None
+    """One two-stage draw: a dosage per village and a treated flag per household.
+
+    Both arrays follow the `DesignIndex` order; ``village_dosages`` and
+    ``household_treatments`` read them back by village and household id.
+    """
+
+    design: DesignIndex
+    dosages: np.ndarray
+    treated: np.ndarray
+
+    @property
+    def village_dosages(self) -> dict[str, float]:
+        return dict(zip(self.design.villages, self.dosages.tolist()))
+
+    @property
+    def household_treatments(self) -> dict[str, dict[str, bool]]:
+        flags = self.treated.tolist()
+        return {v: dict(zip(hs, flags[offset:offset + len(hs)]))
+                for v, hs, offset in zip(self.design.villages, self.design.households,
+                                         self.design.offsets)}
 
 
 def permute_assignment(
-    design: TreatmentDesign,
+    design: TreatmentDesign | DesignIndex,
     rng: np.random.Generator,
     blocks: Mapping[str, str] | None = None,
 ) -> AssignmentDraw:
@@ -62,62 +117,24 @@ def permute_assignment(
     Stage 1 permutes the observed dosage labels across villages (within
     blocks when given), preserving the dosage multiset exactly. Stage 2
     samples a uniform treated-household subset of the dosage-implied size.
+    A `TreatmentDesign` is compiled with ``blocks`` first; a `DesignIndex`
+    is drawn from as compiled.
     """
-    villages = list(design.villages)
-    if blocks is not None:
-        missing = [v for v in villages if v not in blocks]
-        if missing:
-            raise RandomizationError(f"villages without a block label: {missing}")
-        groups: dict[str, list[str]] = {}
-        for v in villages:
-            groups.setdefault(blocks[v], []).append(v)
-        group_lists = [groups[b] for b in sorted(groups)]
-    else:
-        group_lists = [villages]
-
-    new_dosages: dict[str, float] = {}
-    for group in group_lists:
-        labels = [design.village_dosages[v] for v in group]
-        order = rng.permutation(len(group))
-        for v, k in zip(group, order):
-            new_dosages[v] = labels[k]
-
-    treatments: dict[str, dict[str, bool]] = {}
-    for v in villages:
-        households = design.households(v)
-        n_treated = treated_household_count(new_dosages[v], len(households))
-        if n_treated > len(households):
+    index = design if isinstance(design, DesignIndex) else DesignIndex(design, blocks)
+    dosages = np.empty_like(index.labels)
+    for group in index.groups:
+        dosages[group] = index.labels[group][rng.permutation(group.size)]
+    treated = np.zeros(index.offsets[-1], dtype=bool)
+    for village, alpha, n_households, offset in zip(index.villages, dosages.tolist(),
+                                                    index.sizes, index.offsets):
+        n_treated = treated_household_count(alpha, n_households)
+        if n_treated > n_households:
             raise RandomizationError(
-                f"village {v}: dosage {new_dosages[v]} demands {n_treated} treated "
-                f"households but only {len(households)} exist"
+                f"village {village}: dosage {alpha} demands {n_treated} treated "
+                f"households but only {n_households} exist"
             )
-        chosen = rng.choice(len(households), size=n_treated, replace=False)
-        mask = set(int(c) for c in chosen)
-        treatments[v] = {h: (i in mask) for i, h in enumerate(households)}
-    return AssignmentDraw(new_dosages, treatments)
-
-
-def assignment_from_draw(
-    panel: StudyPanel,
-    draw: AssignmentDraw,
-    household_members: Mapping[str, tuple[str, ...]] | None = None,
-) -> Assignment:
-    """Individual-level treatment state implied by a household-level draw."""
-    if household_members is None:
-        household_members = _household_members(panel)
-    treated: set[str] = set()
-    for village, households in draw.household_treatments.items():
-        for h, is_treated in households.items():
-            if is_treated:
-                treated.update(household_members[h])
-    return Assignment(draw.village_dosages, frozenset(treated))
-
-
-def _household_members(panel: StudyPanel) -> dict[str, tuple[str, ...]]:
-    members: dict[str, list[str]] = {}
-    for ind in panel.individuals.values():
-        members.setdefault(ind.household_id, []).append(ind.id)
-    return {h: tuple(sorted(ids)) for h, ids in members.items()}
+        treated[offset + rng.choice(n_households, size=n_treated, replace=False)] = True
+    return AssignmentDraw(index, dosages, treated)
 
 
 def pvalue_from_draws(observed: float, draws: Sequence[float], sided: str = "two") -> float:
@@ -148,65 +165,56 @@ class PermutationResult:
         return self.sided == "two"
 
 
-@dataclass(frozen=True)
-class _DrawTask:
-    """Picklable context for evaluating a chunk of draws in a worker."""
-
-    panel: StudyPanel
-    table: MetricTable
-    specs: tuple[ContrastSpec, ...]
-    master_seed: int
-    scaling: str
-    blocks: dict[str, str] | None
-
-    def run(self, start: int, stop: int) -> np.ndarray:
-        hh_members = _household_members(self.panel)
-        out = np.full((len(self.specs), stop - start), np.nan)
-        for j, draw_index in enumerate(range(start, stop)):
-            rng = derive_stream(self.master_seed, draw_index)
-            draw = replace(
-                permute_assignment(self.panel.design, rng, self.blocks),
-                draw_index=draw_index, seed_path=(self.master_seed, draw_index),
-            )
-            asg = assignment_from_draw(self.panel, draw, hh_members)
-            for k, spec in enumerate(self.specs):
-                try:
-                    est = evaluate_contrast(self.panel, self.table, spec,
-                                            assignment=asg, scaling=self.scaling)
-                    out[k, j] = est.pct_effect
-                except EffectError:
-                    pass  # skipped draw, stays NaN
-        return out
-
-
-def _run_chunk(task: _DrawTask, start: int, stop: int) -> np.ndarray:
-    return task.run(start, stop)
+def _null_chunk(kernel: ContrastKernel, design: DesignIndex, household: np.ndarray,
+                master_seed: int, scaling: str, start: int, stop: int) -> np.ndarray:
+    """Null statistics of draws start..stop-1, one column per draw."""
+    out = np.empty((len(kernel.specs), stop - start))
+    for j in range(start, stop):
+        draw = permute_assignment(design, derive_stream(master_seed, j))
+        out[:, j - start] = kernel.evaluate(draw.dosages, draw.treated[household], scaling).pct
+    return out
 
 
 def null_statistics(
     panel: StudyPanel,
-    table: MetricTable,
-    specs: Sequence[ContrastSpec],
+    kernel: ContrastKernel,
     permutations: int,
     master_seed: int,
     scaling: str = "control_w1",
     threads: int = 1,
     blocks: Mapping[str, str] | None = None,
 ) -> np.ndarray:
-    """(n_specs, permutations) null statistics; NaN marks a skipped draw."""
+    """(n_specs, permutations) null statistics of the kernel's specs; NaN marks a skipped draw.
+
+    With ``threads`` > 1 contiguous chunks of draws run in forked worker
+    processes, which receive only the compiled kernel and design.
+    """
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
-    task = _DrawTask(panel, table, tuple(specs), master_seed, scaling,
-                     dict(blocks) if blocks is not None else None)
+    design = DesignIndex(panel.design, blocks)
+    chunk = partial(_null_chunk, kernel, design, design.household_of(panel, kernel.individuals),
+                    master_seed, scaling)
     if threads <= 1 or permutations < 2 * threads:
-        return task.run(0, permutations)
-    bounds = np.linspace(0, permutations, threads + 1).astype(int)
-    chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+        return chunk(0, permutations)
+    bounds = np.linspace(0, permutations, threads + 1).astype(int).tolist()
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
-        parts = list(pool.map(_run_chunk, [task] * len(chunks),
-                              [a for a, _ in chunks], [b for _, b in chunks]))
+        parts = list(pool.map(chunk, bounds[:-1], bounds[1:]))
     return np.concatenate(parts, axis=1)
+
+
+def _valid_draws(draws: np.ndarray, spec: ContrastSpec) -> np.ndarray:
+    """A spec's defined null statistics; too many skipped draws is an error."""
+    valid = draws[~np.isnan(draws)]
+    skipped = draws.size - valid.size
+    if skipped > MAX_SKIP_FRACTION * draws.size:
+        raise RandomizationError(
+            f"{skipped}/{draws.size} draws skipped for {spec.label()}; "
+            f"the permutation scheme is incompatible with this contrast"
+        )
+    if skipped:
+        log.warning("%d/%d draws skipped for %s", skipped, draws.size, spec.label())
+    return valid
 
 
 def permutation_suite(
@@ -221,25 +229,17 @@ def permutation_suite(
     sided: str = "two",
 ) -> list[EffectEstimate]:
     """Observed estimates for all specs with shared-draw permutation p-values."""
-    observed = [evaluate_contrast(panel, table, spec, scaling=scaling) for spec in specs]
-    stats = null_statistics(panel, table, specs, permutations, master_seed,
-                            scaling, threads, blocks)
+    if not specs:
+        return []
+    kernel = ContrastKernel(panel, specs, table)
+    observed = kernel.estimates(*kernel.observed, scaling)
+    stats = null_statistics(panel, kernel, permutations, master_seed, scaling, threads, blocks)
     results = []
-    for k, est in enumerate(observed):
-        draws = stats[k]
-        valid = draws[~np.isnan(draws)]
-        skipped = permutations - valid.size
-        if skipped > MAX_SKIP_FRACTION * permutations:
-            raise RandomizationError(
-                f"{skipped}/{permutations} draws skipped for {specs[k].label()}; "
-                f"the permutation scheme is incompatible with this contrast"
-            )
-        if skipped:
-            log.warning("%d/%d draws skipped for %s", skipped, permutations,
-                        specs[k].label())
-        p = pvalue_from_draws(est.pct_effect, valid, sided)
-        results.append(replace(est, p_value=p, permutations=permutations,
-                               skipped_draws=skipped))
+    for est, draws in zip(observed, stats):
+        valid = _valid_draws(draws, est.spec)
+        results.append(replace(est, p_value=pvalue_from_draws(est.pct_effect, valid, sided),
+                               permutations=permutations,
+                               skipped_draws=permutations - valid.size))
     return results
 
 
@@ -258,23 +258,15 @@ def permutation_pvalue(
     if table is None:
         from .metrics import metric_table
         table = metric_table(panel, spec.layer, spec.variant_flags, (spec.metric,))
-    observed = evaluate_contrast(panel, table, spec, scaling=scaling)
-    stats = null_statistics(panel, table, [spec], permutations, master_seed,
-                            scaling, threads, blocks)[0]
-    valid = stats[~np.isnan(stats)]
-    skipped = permutations - valid.size
-    if skipped > MAX_SKIP_FRACTION * permutations:
-        raise RandomizationError(
-            f"{skipped}/{permutations} draws skipped for {spec.label()}"
-        )
-    if skipped:
-        log.warning("%d/%d draws skipped for %s", skipped, permutations, spec.label())
-    p = pvalue_from_draws(observed.pct_effect, valid, sided)
+    kernel = ContrastKernel(panel, [spec], table)
+    (observed,) = kernel.estimates(*kernel.observed, scaling)
+    stats = null_statistics(panel, kernel, permutations, master_seed, scaling, threads, blocks)
+    valid = _valid_draws(stats[0], spec)
     return PermutationResult(
         observed=observed.pct_effect,
         null_draws=tuple(float(x) for x in valid),
-        p_value=p,
+        p_value=pvalue_from_draws(observed.pct_effect, valid, sided),
         sided=sided,
         permutations=permutations,
-        skipped=skipped,
+        skipped=permutations - valid.size,
     )

@@ -25,7 +25,7 @@ from .core import (
     TreatmentDesign,
     treated_household_count,
 )
-from .effects import EffectError, enumerate_specs, evaluate_contrast
+from .effects import ContrastKernel, effect_suite, enumerate_specs
 from .metrics import MetricTable
 from .networks import LayerNetwork
 
@@ -356,14 +356,13 @@ def compute_oracle(state: Wave1State,
     panel = panel_from_state(state, {})
     expected_pct: dict[str, float] = {}
     for layer in sc.layers:
-        table = expected_degree_table(state, layer)
-        for spec in enumerate_specs([layer], ["degree", "in_degree", "out_degree"],
-                                    scopes, kinds):
-            try:
-                est = evaluate_contrast(panel, table, spec)
-            except EffectError:
-                continue
-            expected_pct[spec.label()] = est.pct_effect
+        specs = enumerate_specs([layer], ["degree", "in_degree", "out_degree"], scopes, kinds)
+        if not specs:
+            continue
+        kernel = ContrastKernel(panel, specs, expected_degree_table(state, layer))
+        pct = kernel.evaluate(*kernel.observed).pct
+        expected_pct.update((spec.label(), float(p)) for spec, p in zip(specs, pct)
+                            if not math.isnan(p))   # undefined contrasts have no oracle
     return OracleTruth(dissolution, formation, expected_pct)
 
 
@@ -427,9 +426,6 @@ def replicate_study(
     Replicate seeds derive from the scenario seed, so reports are reproducible
     and insensitive to evaluation order.
     """
-    from .metrics import METRICS, metric_table
-    from .randomization import permutation_suite
-
     if n_replicates < 1:
         raise ScenarioError("n_replicates must be >= 1")
     rows: list[CalibrationRow] = []
@@ -439,24 +435,16 @@ def replicate_study(
         rep_scenario = SyntheticScenario.from_dict(
             {**scenario.to_dict(), "seed": rep_seed})
         panel, oracle = generate_panel(rep_scenario, scopes=scopes)
-        for layer in layers:
-            table = metric_table(panel, layer,
-                                 metrics=tuple(m for m in metrics if m in METRICS))
-            wanted = [m for m in metrics if m in table.metrics]
-            specs = enumerate_specs([layer], wanted, scopes, kinds)
-            if permutations > 0:
-                ests = permutation_suite(panel, table, specs, permutations,
-                                         master_seed=rep_seed + 1, threads=threads)
-            else:
-                ests = [evaluate_contrast(panel, table, s) for s in specs]
-            for est in ests:
-                rows.append(CalibrationRow(
-                    replicate=rep,
-                    spec_label=est.spec.label(),
-                    estimate_pct=est.pct_effect,
-                    oracle_pct=oracle.expected_pct.get(est.spec.label(), float("nan")),
-                    p_value=est.p_value,
-                ))
+        for est in effect_suite(panel, layers, metrics, scopes, kinds,
+                                permutations=permutations, master_seed=rep_seed + 1,
+                                threads=threads):
+            rows.append(CalibrationRow(
+                replicate=rep,
+                spec_label=est.spec.label(),
+                estimate_pct=est.pct_effect,
+                oracle_pct=oracle.expected_pct.get(est.spec.label(), float("nan")),
+                p_value=est.p_value,
+            ))
 
     summary: dict[str, dict[str, float]] = {}
     for label in sorted({r.spec_label for r in rows}):

@@ -150,6 +150,28 @@ class TestSubcommands:
         assert (out / "calibration.csv").exists()
         assert (out / "summary.csv").exists()
 
+    @pytest.mark.parametrize("command", ["effects", "replicate"])
+    def test_negative_permutations_exit_2(self, sim, command, capsys):
+        source = (["--panel", str(sim["sim"] / "panel.json")] if command == "effects"
+                  else ["--scenario", str(sim["scenario"])])
+        code = main([command, *source, "--permutations", "-5",
+                     "--out", str(sim["root"] / f"neg_{command}")])
+        assert code == 2
+        assert "--permutations must be >= 0" in capsys.readouterr().err
+
+    def test_permtest_zero_permutations_exit_2(self, sim, capsys):
+        code = main(["permtest", "--panel", str(sim["sim"] / "panel.json"),
+                     "--permutations", "0", "--out", str(sim["root"] / "pt0")])
+        assert code == 2
+        assert "--permutations must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["effects", "permtest"])
+    def test_zero_threads_exit_2(self, sim, command, capsys):
+        code = main([command, "--panel", str(sim["sim"] / "panel.json"),
+                     "--threads", "0", "--out", str(sim["root"] / f"t0_{command}")])
+        assert code == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
+
     def test_runtime_failure_exit_1(self, sim):
         # unknown layer inside an otherwise valid request
         out = sim["root"] / "bad"

@@ -100,41 +100,40 @@ class TestInclusion:
 
 
 class TestBuildLayer:
-    ROSTER = [Individual("a", "h1", "v1", False), Individual("b", "h2", "v1", False),
-              Individual("c", "h3", "v1", False)]
+    NODES = ("a", "b", "c")
 
     def test_straight_question_gives_ego_to_alter(self):
-        net = build_layer([resp("a", "b")], HEALTH, "v1", 1, self.ROSTER)
+        net = build_layer([resp("a", "b")], HEALTH, "v1", 1, self.NODES)
         assert net.edges == frozenset({("a", "b")})
 
     def test_inverted_question_gives_alter_to_ego(self):
         net = build_layer([resp("a", "b", question="health_advice_give")],
-                          HEALTH, "v1", 1, self.ROSTER)
+                          HEALTH, "v1", 1, self.NODES)
         assert net.edges == frozenset({("b", "a")})
 
     def test_duplicate_nominations_collapse(self):
         responses = [resp("a", "b", question="friend_personal"),
                      resp("a", "b", question="friend_free_time")]
-        net = build_layer(responses, FRIEND, "v1", 1, self.ROSTER)
+        net = build_layer(responses, FRIEND, "v1", 1, self.NODES)
         assert net.edges == frozenset({("a", "b")})
 
     def test_unknown_question_is_error(self):
         with pytest.raises(IngestionError, match="bogus_question"):
             build_layer([resp("a", "b", question="bogus_question")],
-                        HEALTH, "v1", 1, self.ROSTER)
+                        HEALTH, "v1", 1, self.NODES)
 
     def test_self_nomination_is_error(self):
         with pytest.raises(IngestionError, match="self-nomination"):
-            build_layer([resp("a", "a", line=4)], HEALTH, "v1", 1, self.ROSTER)
+            build_layer([resp("a", "a", line=4)], HEALTH, "v1", 1, self.NODES)
 
     def test_nodes_cover_all_villagers_with_isolates(self):
-        net = build_layer([resp("a", "b")], HEALTH, "v1", 1, self.ROSTER)
+        net = build_layer([resp("a", "b")], HEALTH, "v1", 1, self.NODES)
         assert net.nodes == ("a", "b", "c")
 
     def test_edge_count_bounded_by_response_count(self):
         responses = [resp("a", "b"), resp("a", "c"), resp("b", "c"),
                      resp("a", "b", question="health_advice_give")]
-        net = build_layer(responses, HEALTH, "v1", 1, self.ROSTER)
+        net = build_layer(responses, HEALTH, "v1", 1, self.NODES)
         assert net.edge_count <= len(responses)
 
 

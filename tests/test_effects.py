@@ -8,8 +8,6 @@ from villagenet.effects import (
     EffectError,
     classify_groups,
     classify_spillover_order,
-    counterfactual_trend,
-    did_statistic,
     enumerate_specs,
     evaluate_contrast,
     observed_assignment,
@@ -18,6 +16,7 @@ from villagenet.metrics import metric_table
 from villagenet.networks import bfs_distances
 
 from conftest import make_panel
+from draw_oracle import counterfactual_trend, did_statistic
 
 
 def spillover_village_panel():
