@@ -23,15 +23,14 @@ from .core import (
     residual_network,
 )
 from .dyadic import (
-    DyadObservation,
+    DyadDataset,
     LogisticFit,
-    categorize_dyad,
     dyad_dataset,
-    enumerate_dyads,
+    dyad_rows,
     estimand_correspondence,
     fit_logistic_irls,
-    node_refinement,
     odds_ratio_summary,
+    refinement_codes,
 )
 from .effects import (
     Assignment,

@@ -20,13 +20,17 @@ from pathlib import Path
 from . import __version__
 from . import io as vio
 from .core import (
+    ALL_LAYERS,
     IngestionError,
     apply_inclusion_criteria,
     build_panel,
     DEFAULT_LAYER_SPECS,
 )
 from .dyadic import (
+    OUTCOMES,
+    SCHEMES,
     dyad_dataset,
+    dyad_rows,
     estimand_correspondence,
     fit_logistic_irls,
 )
@@ -104,6 +108,11 @@ COMMAND_OPTIONS: dict[str, dict[str, object]] = {
 
 RUNTIME_ONLY = ("out", "threads")
 
+# Options whose value (or each item of a comma list) must be one of a fixed set.
+CHOICES = {"layer": ALL_LAYERS, "layers": ALL_LAYERS, "schemes": SCHEMES,
+           "outcomes": OUTCOMES}
+LIST_OPTIONS = ("layers", "schemes", "outcomes")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -157,6 +166,14 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
     for name, low in minimums.items():
         if name in config and int(config[name]) < low:
             raise IngestionError(f"--{name} must be >= {low}, got {config[name]}")
+    for name, allowed in CHOICES.items():
+        if name not in config:
+            continue
+        values = _parse_list(str(config[name])) if name in LIST_OPTIONS else [str(config[name])]
+        for value in values:
+            if value not in allowed:
+                raise IngestionError(f"--{name}: unknown value '{value}'; "
+                                     f"expected one of {', '.join(allowed)}")
     return config
 
 
@@ -284,7 +301,7 @@ def run_dyadic(config: dict, outdir: Path) -> None:
         vio._write_lines(outdir / "correspondence.csv", "correspondence",
                          "term,dyadic_estimate,node_contrast,signs_agree", lines)
     if int(config["export_dyads"]):
-        vio.write_dyads(data_all.observations(), outdir / "dyads.csv")
+        vio.write_dyads(dyad_rows(panel, layer), outdir / "dyads.csv")
     print(f"wrote dyadic regressions for layer {layer}")
 
 

@@ -1,11 +1,15 @@
-"""Dyad-level link evolution: categories, logistic fits, and node-level checks.
+"""Dyad-level link evolution: category counts, logistic fits, and node-level checks.
 
 Ordered within-village pairs are labelled by the endpoints' treatment status
 (coarse: UoUo in control villages, else UU/UT/TU/TT) and, in treated villages,
 by a finer wave-1 exposure refinement (Uh/U1/To/T1: untreated/treated with or
-without a treated wave-1 neighbor). Dissolution and formation are modelled by
-logistic regressions on category indicators, fitted by Newton/IRLS with exact
-score and observed-information formulas so the optimizer can be audited.
+without a treated wave-1 neighbor). Category indicators are the only
+covariates, so a sample is kept as counts: per fine category, the number of
+pairs in each (wave-1 link, wave-3 link) state, taken per village straight
+from the cached adjacency matrices without one row per dyad. Dissolution and
+formation are modelled by logistic regressions on category indicators,
+fitted to these grouped binomial counts by Newton/IRLS with exact score and
+observed-information formulas so the optimizer can be audited.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,114 +28,81 @@ log = logging.getLogger(__name__)
 
 COARSE_CATEGORIES = ("UoUo", "UU", "UT", "TU", "TT")
 REFINEMENT_LABELS = ("Uh", "U1", "To", "T1")
+FINE_CATEGORIES = ("UoUo",) + tuple(a + b for a in REFINEMENT_LABELS for b in REFINEMENT_LABELS)
 OUTCOMES = ("dissolution", "formation", "wave3_link")
 SCHEMES = ("coarse", "fine")
 SAMPLES = ("existing_w1", "nonexisting_w1", "all")
+
+# Fine code 1 + 4*r_ego + r_alter -> coarse code 1 + 2*treated_ego + treated_alter;
+# refinement codes 2 and 3 (To, T1) are the treated ones.
+_FINE_TO_COARSE = np.array([0] + [1 + 2 * (a // 2) + b // 2
+                                  for a in range(4) for b in range(4)])
+# A pair's link state is 2*link_w1 + link_w3; the states each sample keeps.
+_SAMPLE_STATES = {"existing_w1": (2, 3), "nonexisting_w1": (0, 1), "all": (0, 1, 2, 3)}
+# Per outcome: the states that are trials and the states that are successes.
+_OUTCOME_STATES = {
+    "dissolution": ((2, 3), (2,)),
+    "formation": ((0, 1), (1,)),
+    "wave3_link": ((0, 1, 2, 3), (1, 3)),
+}
 
 
 class DyadicError(ValueError):
     """Invalid dyadic-analysis request."""
 
 
-@dataclass(frozen=True)
-class DyadObservation:
-    village_id: str
-    ego: str
-    alter: str
-    link_w1: bool
-    link_w3: bool
-    coarse: str
-    fine: str
+def refinement_codes(adjacency: np.ndarray, treated: np.ndarray) -> np.ndarray:
+    """Wave-1 refinement code per node: 2*treated + exposed, indexing REFINEMENT_LABELS.
+
+    A node is exposed when a treated node is its neighbor in either direction.
+    """
+    exposed = (adjacency | adjacency.T)[:, treated].any(axis=1)
+    return (2 * treated + exposed).astype(np.int8)
 
 
-def node_refinement(
-    panel: StudyPanel,
-    layer: str,
-    assignment: Assignment | None = None,
-    variant_flags: Sequence[str] = (),
-) -> dict[str, str]:
-    """Wave-1 exposure labels: U1/T1 have a treated neighbor, Uh/To do not."""
-    asg = assignment if assignment is not None else observed_assignment(panel)
-    labels: dict[str, str] = {}
+def _villages(panel: StudyPanel, layer: str, variant_flags: Sequence[str],
+              asg: Assignment) -> Iterator[tuple]:
+    """Per village: id, members, wave-1 and wave-3 adjacency, refinement codes.
+
+    The codes are None in a control village, where every pair is UoUo.
+    Network nodes are the village's members in the same sorted order.
+    """
     for village in panel.villages:
-        net = panel.network(village, 1, layer, variant_flags)
-        for node in net.nodes:
-            treated = node in asg.treated
-            exposed = any(nb in asg.treated for nb in net.undirected_neighbors[node])
-            if treated:
-                labels[node] = "T1" if exposed else "To"
-            else:
-                labels[node] = "U1" if exposed else "Uh"
-    return labels
-
-
-def categorize_dyad(
-    ego: str,
-    alter: str,
-    panel: StudyPanel,
-    refinement: Mapping[str, str],
-    assignment: Assignment | None = None,
-) -> tuple[str, str]:
-    """Coarse and fine category of an ordered within-village pair."""
-    asg = assignment if assignment is not None else observed_assignment(panel)
-    v_ego = panel.individuals[ego].village_id
-    v_alter = panel.individuals[alter].village_id
-    if v_ego != v_alter:
-        raise DyadicError(f"dyad ({ego}, {alter}) spans villages {v_ego} and {v_alter}")
-    if asg.village_dosages[v_ego] == 0.0:
-        return "UoUo", "UoUo"
-    coarse = ("T" if ego in asg.treated else "U") + ("T" if alter in asg.treated else "U")
-    return coarse, refinement[ego] + refinement[alter]
+        members = panel.members(village)
+        a1 = panel.network(village, 1, layer, variant_flags).adjacency
+        a3 = panel.network(village, 3, layer, variant_flags).adjacency
+        codes = None
+        if asg.village_dosages[village] != 0.0:
+            treated = np.array([m in asg.treated for m in members], dtype=bool)
+            codes = refinement_codes(a1, treated)
+        yield village, members, a1, a3, codes
 
 
 @dataclass
 class DyadDataset:
-    """Vectorized dyad sample for one layer: category codes plus link states.
+    """Dyad counts for one layer and sample.
 
-    ``categories`` indexes into ``category_names``; ego/alter index into the
-    per-village member tuples so full observations can be materialized on
-    demand without holding one object per dyad.
+    ``counts[f, s]`` is the number of ordered within-village pairs of fine
+    category ``FINE_CATEGORIES[f]`` in link state ``s = 2*link_w1 + link_w3``;
+    states outside the sample count zero. Its length is the number of dyads.
     """
 
     layer: str
     sample: str
-    category_names: tuple[str, ...]
-    categories: np.ndarray
-    fine_names: tuple[str, ...]
-    fine_categories: np.ndarray
-    link_w1: np.ndarray
-    link_w3: np.ndarray
-    village_ids: tuple[str, ...]
-    village_index: np.ndarray
-    ego_index: np.ndarray
-    alter_index: np.ndarray
-    members: tuple[tuple[str, ...], ...]
+    counts: np.ndarray
 
     def __len__(self) -> int:
-        return int(self.categories.size)
+        return int(self.counts.sum())
 
-    def labels(self, scheme: str) -> tuple[np.ndarray, tuple[str, ...]]:
-        if scheme == "coarse":
-            return self.categories, self.category_names
+    def tallies(self, scheme: str) -> tuple[tuple[str, ...], np.ndarray]:
+        """Category names and their (category x link state) counts."""
         if scheme == "fine":
-            return self.fine_categories, self.fine_names
+            return FINE_CATEGORIES, self.counts
+        if scheme == "coarse":
+            coarse = np.zeros((len(COARSE_CATEGORIES), 4), dtype=np.int64)
+            np.add.at(coarse, _FINE_TO_COARSE, self.counts)
+            return COARSE_CATEGORIES, coarse
         raise DyadicError(f"unknown category scheme {scheme}")
-
-    def observations(self) -> list[DyadObservation]:
-        out = []
-        for k in range(len(self)):
-            vi = int(self.village_index[k])
-            members = self.members[vi]
-            out.append(DyadObservation(
-                village_id=self.village_ids[vi],
-                ego=members[int(self.ego_index[k])],
-                alter=members[int(self.alter_index[k])],
-                link_w1=bool(self.link_w1[k]),
-                link_w3=bool(self.link_w3[k]),
-                coarse=self.category_names[int(self.categories[k])],
-                fine=self.fine_names[int(self.fine_categories[k])],
-            ))
-        return out
 
 
 def dyad_dataset(
@@ -141,87 +112,48 @@ def dyad_dataset(
     variant_flags: Sequence[str] = (),
     assignment: Assignment | None = None,
 ) -> DyadDataset:
-    """All ordered within-village dyads matching the sample filter."""
+    """Counts of the ordered within-village dyads matching the sample filter.
+
+    Per village and link state with off-diagonal mask M, the refinement
+    one-hot matrix R (n x 4) gives the 4 x 4 fine-category counts as R'MR.
+    """
     if sample not in SAMPLES:
         raise DyadicError(f"unknown dyad sample {sample}")
     asg = assignment if assignment is not None else observed_assignment(panel)
-    refinement = node_refinement(panel, layer, asg, variant_flags)
-
-    coarse_names = list(COARSE_CATEGORIES)
-    coarse_code = {name: i for i, name in enumerate(coarse_names)}
-    fine_names = ["UoUo"] + [a + b for a in REFINEMENT_LABELS for b in REFINEMENT_LABELS]
-    fine_code = {name: i for i, name in enumerate(fine_names)}
-    ref_code = {"Uh": 0, "U1": 1, "To": 2, "T1": 3}
-
-    cats, fines, w1s, w3s, vidx, egos, alters = [], [], [], [], [], [], []
-    village_ids = panel.villages
-    members_by_village = tuple(panel.members(v) for v in village_ids)
-    for vi, village in enumerate(village_ids):
-        members = members_by_village[vi]
-        n = len(members)
-        if n < 2:
-            continue
-        # Network nodes are the village's members in the same sorted order.
-        a1 = panel.network(village, 1, layer, variant_flags).adjacency
-        a3 = panel.network(village, 3, layer, variant_flags).adjacency
-        off = ~np.eye(n, dtype=bool)
-        if sample == "existing_w1":
-            keep = a1 & off
-        elif sample == "nonexisting_w1":
-            keep = ~a1 & off
-        else:
-            keep = off
-        ii, jj = np.nonzero(keep)
-        if ii.size == 0:
-            continue
-        if asg.village_dosages[village] == 0.0:
-            cat = np.zeros(ii.size, dtype=np.int8)
-            fine = np.zeros(ii.size, dtype=np.int8)
-        else:
-            treated = np.array([m in asg.treated for m in members])
-            pair = treated[ii].astype(np.int8) * 2 + treated[jj].astype(np.int8)
-            # (ego, alter) -> UU, UT, TU, TT; offset 1 past UoUo
-            cat = np.array([coarse_code["UU"], coarse_code["UT"],
-                            coarse_code["TU"], coarse_code["TT"]], dtype=np.int8)[pair]
-            rcode = np.array([ref_code[refinement[m]] for m in members], dtype=np.int8)
-            fine = (rcode[ii] * 4 + rcode[jj] + 1).astype(np.int8)
-        cats.append(cat)
-        fines.append(fine)
-        w1s.append(a1[ii, jj])
-        w3s.append(a3[ii, jj])
-        vidx.append(np.full(ii.size, vi, dtype=np.int32))
-        egos.append(ii.astype(np.int32))
-        alters.append(jj.astype(np.int32))
-
-    empty_i8 = np.zeros(0, dtype=np.int8)
-    empty_b = np.zeros(0, dtype=bool)
-    empty_i32 = np.zeros(0, dtype=np.int32)
-    return DyadDataset(
-        layer=layer,
-        sample=sample,
-        category_names=tuple(coarse_names),
-        categories=np.concatenate(cats) if cats else empty_i8,
-        fine_names=tuple(fine_names),
-        fine_categories=np.concatenate(fines) if fines else empty_i8,
-        link_w1=np.concatenate(w1s) if w1s else empty_b,
-        link_w3=np.concatenate(w3s) if w3s else empty_b,
-        village_ids=village_ids,
-        village_index=np.concatenate(vidx) if vidx else empty_i32,
-        ego_index=np.concatenate(egos) if egos else empty_i32,
-        alter_index=np.concatenate(alters) if alters else empty_i32,
-        members=members_by_village,
-    )
+    states = _SAMPLE_STATES[sample]
+    counts = np.zeros((len(FINE_CATEGORIES), 4), dtype=np.int64)
+    for _, _, a1, a3, codes in _villages(panel, layer, variant_flags, asg):
+        state = 2 * a1.astype(np.int8) + a3
+        np.fill_diagonal(state, -1)
+        onehot = None if codes is None else np.eye(4)[codes]
+        for s in states:
+            mask = state == s
+            if onehot is None:
+                counts[0, s] += np.count_nonzero(mask)
+            else:
+                counts[1:, s] += (onehot.T @ (mask @ onehot)).astype(np.int64).reshape(16)
+    return DyadDataset(layer=layer, sample=sample, counts=counts)
 
 
-def enumerate_dyads(
+def dyad_rows(
     panel: StudyPanel,
     layer: str,
-    sample: str = "all",
     variant_flags: Sequence[str] = (),
     assignment: Assignment | None = None,
-) -> list[DyadObservation]:
-    """Materialized dyad observations (prefer dyad_dataset for large panels)."""
-    return dyad_dataset(panel, layer, sample, variant_flags, assignment).observations()
+) -> Iterator[tuple[str, str, str, str, str, bool, bool]]:
+    """Every ordered within-village pair, one village at a time.
+
+    Yields (village, ego, alter, coarse, fine, link_w1, link_w3) with villages
+    in panel order and pairs row by row in member order.
+    """
+    asg = assignment if assignment is not None else observed_assignment(panel)
+    coarse_of = [COARSE_CATEGORIES[c] for c in _FINE_TO_COARSE]
+    for village, members, a1, a3, codes in _villages(panel, layer, variant_flags, asg):
+        ii, jj = np.nonzero(~np.eye(len(members), dtype=bool))
+        fine = np.zeros(ii.size, dtype=np.intp) if codes is None else 1 + 4 * codes[ii] + codes[jj]
+        for i, j, f, w1, w3 in zip(ii.tolist(), jj.tolist(), fine.tolist(),
+                                   a1[ii, jj].tolist(), a3[ii, jj].tolist()):
+            yield village, members[i], members[j], coarse_of[f], FINE_CATEGORIES[f], w1, w3
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +181,26 @@ class LogisticFit:
     dropped: tuple[str, ...] = ()
 
 
-def logistic_nll(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
+def logistic_nll(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
+                 trials: np.ndarray | float = 1.0) -> float:
+    """Negative log-likelihood of y successes in ``trials`` Bernoulli draws per row."""
     eta = X @ beta
-    # log(1 + exp(eta)) - y*eta, computed stably
-    return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
+    # t*log(1 + exp(eta)) - y*eta, computed stably
+    return float(np.sum(trials * np.logaddexp(0.0, eta) - y * eta))
 
 
-def logistic_score(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Gradient of the log-likelihood: X'(y - p)."""
+def logistic_score(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
+                   trials: np.ndarray | float = 1.0) -> np.ndarray:
+    """Gradient of the log-likelihood: X'(y - t*p)."""
     p = _sigmoid(X @ beta)
-    return X.T @ (y - p)
+    return X.T @ (y - trials * p)
 
 
-def logistic_hessian(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Hessian of the log-likelihood: -X'WX with W = p(1-p)."""
+def logistic_hessian(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
+                     trials: np.ndarray | float = 1.0) -> np.ndarray:
+    """Hessian of the log-likelihood: -X'WX with W = t*p(1-p)."""
     p = _sigmoid(X @ beta)
-    w = p * (1.0 - p)
+    w = trials * p * (1.0 - p)
     return -(X.T @ (X * w[:, None]))
 
 
@@ -289,8 +225,13 @@ def fit_categorical_logistic(
     scheme: str = "coarse",
     max_iter: int = 50,
     tol: float = 1e-8,
+    trials: np.ndarray | None = None,
 ) -> LogisticFit:
     """Intercept + one indicator per non-reference category, Newton-fitted.
+
+    Row i holds ``y[i]`` successes in ``trials[i]`` Bernoulli draws (default
+    1, one row per observation), so per-category counts give the same fit,
+    log-likelihood and number of observations as one row per dyad.
 
     Complete separation (a category whose outcomes are all 0 or all 1) is
     reported as non-convergence naming the category; estimates for the
@@ -300,6 +241,7 @@ def fit_categorical_logistic(
     y = np.asarray(y, dtype=float)
     if labels.size == 0:
         raise DyadicError("no observations to fit")
+    t = np.ones(labels.size) if trials is None else np.asarray(trials, dtype=float)
     present = sorted(set(labels.tolist()))
     expected = COARSE_CATEGORIES if scheme == "coarse" else None
     dropped: tuple[str, ...] = ()
@@ -317,15 +259,15 @@ def fit_categorical_logistic(
 
     separated = []
     for cat in present:
-        rates = y[labels == cat]
-        if rates.size and (rates.max() == 0.0 or rates.min() == 1.0):
+        rows = labels == cat
+        successes = y[rows].sum()
+        if successes == 0.0 or successes == t[rows].sum():
             separated.append(cat)
     if separated:
         log.warning("complete separation in categories %s; fit flagged as "
                     "non-convergent", separated)
 
-    n = labels.size
-    X = np.ones((n, 1 + len(others)))
+    X = np.ones((labels.size, 1 + len(others)))
     for k, cat in enumerate(others):
         X[:, 1 + k] = (labels == cat).astype(float)
 
@@ -333,27 +275,27 @@ def fit_categorical_logistic(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        score = logistic_score(X, y, beta)
+        score = logistic_score(X, y, beta, t)
         if np.max(np.abs(score)) < tol:
             converged = True
             iterations -= 1
             break
-        info = -logistic_hessian(X, y, beta)
+        info = -logistic_hessian(X, y, beta, t)
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(info, score, rcond=None)[0]
         # Step-halving keeps Newton monotone on badly scaled starts.
-        nll = logistic_nll(X, y, beta)
+        nll = logistic_nll(X, y, beta, t)
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
-            if logistic_nll(X, y, candidate) <= nll + 1e-12:
+            if logistic_nll(X, y, candidate, t) <= nll + 1e-12:
                 break
             scale *= 0.5
         beta = beta + scale * step
 
-    info = -logistic_hessian(X, y, beta)
+    info = -logistic_hessian(X, y, beta, t)
     try:
         cov = np.linalg.inv(info)
         se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
@@ -377,15 +319,15 @@ def fit_categorical_logistic(
         coefficients=coefficients,
         converged=converged and not separated,
         iterations=iterations,
-        log_likelihood=-logistic_nll(X, y, beta),
-        n_observations=int(n),
+        log_likelihood=-logistic_nll(X, y, beta, t),
+        n_observations=int(t.sum()),
         separated=tuple(separated),
         dropped=dropped,
     )
 
 
 def fit_logistic_irls(
-    observations: "DyadDataset | Sequence[DyadObservation]",
+    data: DyadDataset,
     outcome: str,
     category_scheme: str = "coarse",
 ) -> LogisticFit:
@@ -394,35 +336,23 @@ def fit_logistic_irls(
     dissolution: among wave-1 links, 1 when the link is gone by wave 3.
     formation: among wave-1 non-links, 1 when a link exists at wave 3.
     wave3_link: all dyads, 1 when a link exists at wave 3 (unconditional).
+
+    The fit has one row per category present, weighted by its trials.
     """
     if outcome not in OUTCOMES:
         raise DyadicError(f"unknown outcome {outcome}")
     if category_scheme not in SCHEMES:
         raise DyadicError(f"unknown category scheme {category_scheme}")
-    if isinstance(observations, DyadDataset):
-        codes, names = observations.labels(category_scheme)
-        labels = np.asarray(names, dtype=object)[codes]
-        w1 = observations.link_w1
-        w3 = observations.link_w3
-    else:
-        key = "coarse" if category_scheme == "coarse" else "fine"
-        labels = np.array([getattr(o, key) for o in observations], dtype=object)
-        w1 = np.array([o.link_w1 for o in observations], dtype=bool)
-        w3 = np.array([o.link_w3 for o in observations], dtype=bool)
-
-    if outcome == "dissolution":
-        mask = w1
-        y = (~w3[mask]).astype(float)
-    elif outcome == "formation":
-        mask = ~w1
-        y = w3[mask].astype(float)
-    else:
-        mask = np.ones(labels.size, dtype=bool)
-        y = w3.astype(float)
-    if not mask.any():
+    names, counts = data.tallies(category_scheme)
+    trial_states, success_states = _OUTCOME_STATES[outcome]
+    trials = counts[:, trial_states].sum(axis=1)
+    successes = counts[:, success_states].sum(axis=1)
+    present = trials > 0
+    if not present.any():
         raise DyadicError(f"no observations left after the {outcome} restriction")
-    return fit_categorical_logistic(labels[mask], y, outcome=outcome,
-                                    scheme=category_scheme)
+    return fit_categorical_logistic(np.asarray(names)[present], successes[present],
+                                    outcome=outcome, scheme=category_scheme,
+                                    trials=trials[present])
 
 
 def odds_ratio_summary(fit: LogisticFit) -> dict[str, tuple[float, float]]:
@@ -448,37 +378,38 @@ class CorrespondenceRow:
 
 
 def _partner_rates(panel: StudyPanel, layer: str, wave: int,
-                   asg: Assignment) -> dict[str, dict[str, float | None]]:
-    """Per node: wave-3 link rate to/from treated and untreated partners.
+                   asg: Assignment) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """Per node, in panel order: wave-3 link rates to/from treated and untreated partners.
 
-    Rates divide realized links by the number of possible partners of that
-    status, making groups with different village sizes comparable.
+    Rates divide realized links (column and row sums of the adjacency over
+    the partners' treated/untreated masks) by the number of possible partners
+    of that status, making groups with different village sizes comparable;
+    a rate with no possible partner is NaN. Also returns the nodes' treated
+    and in-control-village masks.
     """
-    rates: dict[str, dict[str, float | None]] = {}
+    parts: dict[str, list[np.ndarray]] = {
+        "in_from_treated": [], "in_from_untreated": [], "out_to_untreated": []}
+    treated_parts, control_parts = [], []
     for village in panel.villages:
         net = panel.network(village, wave, layer)
         mat = net.adjacency
-        n = net.n
-        treated = np.array([m in asg.treated for m in net.nodes], dtype=float)
-        untreated = 1.0 - treated
-        pot_t = int(treated.sum()) - treated
-        pot_u = (n - 1) - pot_t
-        in_t, in_u = treated @ mat, untreated @ mat
-        out_t, out_u = mat @ treated, mat @ untreated
-        for i, node in enumerate(net.nodes):
-            t, u = pot_t[i], pot_u[i]
-            rates[node] = {
-                "in_from_treated": in_t[i] / t if t > 0 else None,
-                "in_from_untreated": in_u[i] / u if u > 0 else None,
-                "out_to_treated": out_t[i] / t if t > 0 else None,
-                "out_to_untreated": out_u[i] / u if u > 0 else None,
-            }
-    return rates
+        treated = np.array([m in asg.treated for m in net.nodes], dtype=bool)
+        pot_t = treated.sum() - treated.astype(float)
+        pot_u = (net.n - 1) - pot_t
+        for key, links, pot in (("in_from_treated", mat[treated].sum(axis=0), pot_t),
+                                ("in_from_untreated", mat[~treated].sum(axis=0), pot_u),
+                                ("out_to_untreated", mat[:, ~treated].sum(axis=1), pot_u)):
+            parts[key].append(np.divide(links, pot, out=np.full(net.n, np.nan),
+                                        where=pot > 0))
+        treated_parts.append(treated)
+        control_parts.append(np.full(net.n, asg.village_dosages[village] == 0.0))
+    rates = {key: np.concatenate(vals) for key, vals in parts.items()}
+    return rates, np.concatenate(treated_parts), np.concatenate(control_parts)
 
 
-def _group_rate(rates, ids, key) -> float:
-    vals = [rates[i][key] for i in ids if rates[i][key] is not None]
-    if not vals:
+def _group_rate(rates: np.ndarray, group: np.ndarray, key: str) -> float:
+    vals = rates[group & ~np.isnan(rates)]
+    if not vals.size:
         raise DyadicError(f"no defined {key} rates in a correspondence group")
     return float(np.mean(vals))
 
@@ -505,28 +436,23 @@ def estimand_correspondence(
     elif data.layer != layer or data.sample != "all":
         raise DyadicError(f"correspondence needs the 'all' dyad sample of layer {layer}, "
                           f"not the '{data.sample}' sample of layer {data.layer}")
-    fit = fit_categorical_logistic(*_coarse_labels_and_w3(data),
-                                   outcome="wave3_link", scheme="coarse")
-    rates = _partner_rates(panel, layer, 3, asg)
+    fit = fit_logistic_irls(data, "wave3_link", "coarse")
+    rates, treated, control = _partner_rates(panel, layer, 3, asg)
+    untreated_in_treated = ~treated & ~control
+    treated = treated & ~control
 
-    treated_villages = asg.scope_villages("all")
-    controls = asg.control_villages()
-    treated_ids = [i for v in treated_villages for i in panel.members(v)
-                   if i in asg.treated]
-    untreated_in_treated = [i for v in treated_villages for i in panel.members(v)
-                            if i not in asg.treated]
-    control_ids = [i for v in controls for i in panel.members(v)]
+    def rate(group: np.ndarray, key: str) -> float:
+        return _group_rate(rates[key], group, key)
 
-    baseline = _group_rate(rates, control_ids, "in_from_untreated")
+    baseline = rate(control, "in_from_untreated")
     pairings = [
-        ("UU", _group_rate(rates, untreated_in_treated, "in_from_untreated") - baseline,
+        ("UU", rate(untreated_in_treated, "in_from_untreated") - baseline,
          "untreated-in-treated in-rate from untreated", "control in-rate from untreated"),
-        ("UT", _group_rate(rates, treated_ids, "in_from_untreated") - baseline,
+        ("UT", rate(treated, "in_from_untreated") - baseline,
          "treated in-rate from untreated", "control in-rate from untreated"),
-        ("TU", _group_rate(rates, treated_ids, "out_to_untreated")
-         - _group_rate(rates, control_ids, "out_to_untreated"),
+        ("TU", rate(treated, "out_to_untreated") - rate(control, "out_to_untreated"),
          "treated out-rate to untreated", "control out-rate to untreated"),
-        ("TT", _group_rate(rates, treated_ids, "in_from_treated") - baseline,
+        ("TT", rate(treated, "in_from_treated") - baseline,
          "treated in-rate from treated", "control in-rate from untreated"),
     ]
     rows = []
@@ -543,8 +469,3 @@ def estimand_correspondence(
             if est == est and contrast == contrast else False,
         ))
     return rows, fit
-
-
-def _coarse_labels_and_w3(data: DyadDataset) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.asarray(data.category_names, dtype=object)[data.categories]
-    return labels, data.link_w3.astype(float)

@@ -395,12 +395,11 @@ def write_regression(fit, path: str | Path) -> None:
                  meta + "\nterm,estimate,std_error,z,p,odds_ratio,pct_change", lines)
 
 
-def write_dyads(observations, path: str | Path) -> None:
-    lines = [
-        f"{o.village_id},{o.ego},{o.alter},{o.coarse},{o.fine},"
-        f"{int(o.link_w1)},{int(o.link_w3)}"
-        for o in observations
-    ]
+def write_dyads(rows: Iterable[tuple[str, str, str, str, str, bool, bool]],
+                path: str | Path) -> None:
+    """One line per (village, ego, alter, coarse, fine, link_w1, link_w3) row, streamed."""
+    lines = (f"{village},{ego},{alter},{coarse},{fine},{int(w1)},{int(w3)}"
+             for village, ego, alter, coarse, fine, w1, w3 in rows)
     _write_lines(path, "dyads", "village,ego,alter,coarse,fine,link_w1,link_w3", lines)
 
 

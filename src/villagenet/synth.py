@@ -25,14 +25,13 @@ from .core import (
     TreatmentDesign,
     treated_household_count,
 )
+from .dyadic import FINE_CATEGORIES as FINE_NAMES, refinement_codes
 from .effects import ContrastKernel, effect_suite, enumerate_specs
 from .metrics import MetricTable
 from .networks import LayerNetwork
 
 log = logging.getLogger(__name__)
 
-REFINEMENTS = ("Uh", "U1", "To", "T1")
-FINE_NAMES = ("UoUo",) + tuple(a + b for a in REFINEMENTS for b in REFINEMENTS)
 _FINE_TO_COARSE = {f: ("UoUo" if f == "UoUo" else
                        ("T" if f[:2] in ("To", "T1") else "U")
                        + ("T" if f[2:] in ("To", "T1") else "U"))
@@ -243,9 +242,7 @@ def generate_wave1_state(scenario: SyntheticScenario) -> Wave1State:
             if design.village_dosages[village] == 0.0:
                 fine_code = np.zeros((n, n), dtype=np.int8)
             else:
-                exposed = (a1 | a1.T)[:, treated].any(axis=1)
-                rcode = np.where(treated, np.where(exposed, 3, 2),
-                                 np.where(exposed, 1, 0)).astype(np.int8)
+                rcode = refinement_codes(a1, treated)
                 fine_code = (rcode[:, None] * 4 + rcode[None, :] + 1).astype(np.int8)
             keep_prob[(village, layer)] = keep_lookup[fine_code]
             form_prob[(village, layer)] = form_lookup[fine_code]

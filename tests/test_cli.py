@@ -172,12 +172,39 @@ class TestSubcommands:
         assert code == 2
         assert "--threads must be >= 1" in capsys.readouterr().err
 
-    def test_runtime_failure_exit_1(self, sim):
-        # unknown layer inside an otherwise valid request
-        out = sim["root"] / "bad"
-        code = main(["metrics", "--panel", str(sim["sim"] / "panel.json"),
-                     "--layer", "gossip", "--out", str(out)])
+    def test_runtime_failure_exit_1(self, sim, tmp_path):
+        # valid options on a panel the analysis cannot use: the dyadic
+        # correspondence needs a control village for its baseline rate
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**SCENARIO, "arms": [[0.5, 2]]}))
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "sim")]) == 0
+        code = main(["dyadic", "--panel", str(tmp_path / "sim" / "panel.json"),
+                     "--layer", "health", "--out", str(tmp_path / "bad")])
         assert code == 1
+
+    @pytest.mark.parametrize("command,option", [
+        ("metrics", "--layer"), ("permtest", "--layer"), ("dyadic", "--layer"),
+        ("wasserstein", "--layer"), ("doseresponse", "--layer"), ("effects", "--layers"),
+    ])
+    def test_unknown_layer_exit_2(self, sim, command, option, capsys):
+        code = main([command, "--panel", str(sim["sim"] / "panel.json"),
+                     option, "health,gossip" if option == "--layers" else "gossip",
+                     "--out", str(sim["root"] / f"badlayer_{command}")])
+        assert code == 2
+        assert f"{option}: unknown value 'gossip'" in capsys.readouterr().err
+
+    def test_unknown_scheme_exit_2(self, sim, capsys):
+        code = main(["dyadic", "--panel", str(sim["sim"] / "panel.json"),
+                     "--schemes", "coarse,bogus", "--out", str(sim["root"] / "badscheme")])
+        assert code == 2
+        assert "--schemes: unknown value 'bogus'" in capsys.readouterr().err
+
+    def test_unknown_outcome_exit_2(self, sim, capsys):
+        code = main(["dyadic", "--panel", str(sim["sim"] / "panel.json"),
+                     "--outcomes", "bogus", "--out", str(sim["root"] / "badoutcome")])
+        assert code == 2
+        assert "--outcomes: unknown value 'bogus'" in capsys.readouterr().err
 
 
 class TestReproducibility:

@@ -1,28 +1,45 @@
 """Dyad categories, the IRLS logistic fit, and the node-level correspondence."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
+from villagenet import io as vio
+from villagenet.core import ALLOWED_DOSAGES, BASE_LAYERS, treated_household_count
 from villagenet.dyadic import (
+    OUTCOMES,
+    REFINEMENT_LABELS,
     SAMPLES,
+    SCHEMES,
     DyadicError,
-    categorize_dyad,
     dyad_dataset,
-    enumerate_dyads,
+    dyad_rows,
     estimand_correspondence,
     fit_categorical_logistic,
     fit_logistic_irls,
     logistic_hessian,
+    logistic_nll,
     logistic_score,
-    node_refinement,
     odds_ratio_summary,
+    refinement_codes,
 )
+from villagenet.effects import observed_assignment
 from villagenet.synth import SyntheticScenario, generate_panel
 
 from conftest import make_panel
+from dyad_oracle import (
+    categorize_dyad,
+    enumerate_dyads,
+    node_refinement,
+    outcome_rows,
+    state_counts,
+)
 
 
 def category_panel():
@@ -44,17 +61,25 @@ def category_panel():
     return make_panel(villages, edges)
 
 
+def counted_states(data, scheme):
+    """A dataset's nonzero counts keyed like ``dyad_oracle.state_counts``."""
+    names, counts = data.tallies(scheme)
+    return {(names[c], s): int(counts[c, s]) for c, s in zip(*np.nonzero(counts))}
+
+
 class TestEnumerate:
     def test_ordered_pair_count(self):
         panel = category_panel()
         dyads = enumerate_dyads(panel, "health", sample="all")
         # 3*2 + 5*4 ordered pairs
         assert len(dyads) == 6 + 20
+        assert len(dyad_dataset(panel, "health", sample="all")) == 6 + 20
 
     def test_54_node_village_count(self):
         households = {f"h{k}": [f"i{k:03d}"] for k in range(54)}
         panel = make_panel({"v": {"dosage": 0.0, "households": households}})
         assert len(enumerate_dyads(panel, "health", sample="all")) == 2862
+        assert len(dyad_dataset(panel, "health", sample="all")) == 2862
 
     def test_existing_sample_is_wave1_edge_set(self):
         panel = category_panel()
@@ -62,12 +87,18 @@ class TestEnumerate:
         pairs = {(d.ego, d.alter) for d in dyads}
         assert pairs == {("ca", "cb"), ("tt", "tu"), ("tu", "tv")}
         assert all(d.link_w1 for d in dyads)
+        data = dyad_dataset(panel, "health", sample="existing_w1")
+        assert len(data) == 3
+        assert data.counts[:, :2].sum() == 0   # no wave-1 non-link counted
 
     def test_samples_partition_all(self):
         panel = category_panel()
         existing = enumerate_dyads(panel, "health", sample="existing_w1")
         missing = enumerate_dyads(panel, "health", sample="nonexisting_w1")
         assert len(existing) + len(missing) == 26
+        counted = [dyad_dataset(panel, "health", sample=s) for s in SAMPLES]
+        assert len(counted[0]) + len(counted[1]) == len(counted[2]) == 26
+        assert np.array_equal(counted[0].counts + counted[1].counts, counted[2].counts)
 
     def test_cross_village_pairs_never_enumerated(self):
         panel = category_panel()
@@ -75,6 +106,10 @@ class TestEnumerate:
             ego_v = panel.individuals[d.ego].village_id
             alter_v = panel.individuals[d.alter].village_id
             assert ego_v == alter_v == d.village_id
+        for village, ego, alter, *_ in dyad_rows(panel, "health"):
+            ego_v = panel.individuals[ego].village_id
+            alter_v = panel.individuals[alter].village_id
+            assert ego_v == alter_v == village
 
 
 class TestCategorize:
@@ -282,7 +317,6 @@ class TestSharedAdjacency:
     @pytest.mark.parametrize("sample", SAMPLES)
     def test_dataset_matches_edge_lookup(self, three_layer_panel, layer, sample):
         panel = three_layer_panel
-        refinement = node_refinement(panel, layer)
         data = dyad_dataset(panel, layer, sample)
         nets = {(v, w): panel.network(v, w, layer) for v in panel.villages for w in (1, 3)}
         want = set()
@@ -292,19 +326,20 @@ class TestSharedAdjacency:
                     linked = nets[(v, 1)].has_edge(ego, alter)
                     if ego != alter and (sample == "all" or linked == (sample == "existing_w1")):
                         want.add((v, ego, alter))
+        dyads = enumerate_dyads(panel, layer, sample)
         got = set()
-        for k in range(len(data)):
-            v = data.village_ids[data.village_index[k]]
-            ego = data.members[data.village_index[k]][data.ego_index[k]]
-            alter = data.members[data.village_index[k]][data.alter_index[k]]
-            got.add((v, ego, alter))
-            assert data.link_w1[k] == nets[(v, 1)].has_edge(ego, alter)
-            assert data.link_w3[k] == nets[(v, 3)].has_edge(ego, alter)
-            coarse, fine = categorize_dyad(ego, alter, panel, refinement)
-            assert data.category_names[data.categories[k]] == coarse
-            assert data.fine_names[data.fine_categories[k]] == fine
-        assert len(got) == len(data)
+        for d in dyads:
+            got.add((d.village_id, d.ego, d.alter))
+            assert d.link_w1 == nets[(d.village_id, 1)].has_edge(d.ego, d.alter)
+            assert d.link_w3 == nets[(d.village_id, 3)].has_edge(d.ego, d.alter)
+        assert len(got) == len(dyads) == len(data)
         assert got == want
+        for scheme in SCHEMES:
+            assert counted_states(data, scheme) == state_counts(dyads, scheme)
+        if sample == "all":
+            assert list(dyad_rows(panel, layer)) == [
+                (d.village_id, d.ego, d.alter, d.coarse, d.fine, d.link_w1, d.link_w3)
+                for d in dyads]
 
     def test_correspondence_reuses_a_built_dataset(self, three_layer_panel):
         panel = three_layer_panel
@@ -357,3 +392,129 @@ class TestDroppedCategories:
                 np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1], dtype=float))
         assert set(fit.dropped) == {"UU", "UT", "TU"}
         assert "dropped" in caplog.text
+
+
+@st.composite
+def small_panels(draw):
+    """1-3 villages of 1-7 members; the first is a control, isolates are common."""
+    villages, edges = {}, {}
+    for v in range(draw(st.integers(1, 3))):
+        vid = f"v{v}"
+        households, k = {}, 0
+        for h in range(draw(st.integers(1, 4))):
+            size = draw(st.integers(1, 2))
+            households[f"{vid}h{h}"] = [f"{vid}i{k + j}" for j in range(size)]
+            k += size
+        dosage = 0.0 if v == 0 else draw(st.sampled_from(ALLOWED_DOSAGES))
+        hids = sorted(households)
+        treated = draw(st.permutations(hids))[:treated_household_count(dosage, len(hids))]
+        villages[vid] = {"dosage": dosage, "households": households, "treated": treated}
+        ids = [i for h in hids for i in households[h]]
+        pairs = [(a, b) for a in ids for b in ids if a != b]
+        for wave in (1, 3):
+            for layer in BASE_LAYERS:
+                edges[(vid, wave, layer)] = (
+                    draw(st.lists(st.sampled_from(pairs), max_size=len(pairs) // 2))
+                    if pairs else [])
+    return make_panel(villages, edges)
+
+
+class TestCountsAgainstOracle:
+    """Counts from adjacency and the streamed rows vs the per-pair oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(panel=small_panels(),
+           layer=st.sampled_from(["health", "friendship", "aggregated"]),
+           sample=st.sampled_from(SAMPLES))
+    def test_counts_length_and_rows(self, panel, layer, sample):
+        data = dyad_dataset(panel, layer, sample)
+        dyads = enumerate_dyads(panel, layer, sample)
+        assert len(data) == len(dyads)
+        for scheme in SCHEMES:
+            assert counted_states(data, scheme) == state_counts(dyads, scheme)
+        everyone = dyads if sample == "all" else enumerate_dyads(panel, layer)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dyads.csv"
+            vio.write_dyads(dyad_rows(panel, layer), path)
+            lines = path.read_text().splitlines()
+        assert lines[1] == "village,ego,alter,coarse,fine,link_w1,link_w3"
+        assert lines[2:] == [
+            f"{d.village_id},{d.ego},{d.alter},{d.coarse},{d.fine},"
+            f"{int(d.link_w1)},{int(d.link_w3)}" for d in everyone]
+
+    @settings(max_examples=30, deadline=None)
+    @given(panel=small_panels(), layer=st.sampled_from(["health", "aggregated"]))
+    def test_refinement_codes_match_labels(self, panel, layer):
+        labels = node_refinement(panel, layer)
+        asg = observed_assignment(panel)
+        for v in panel.villages:
+            treated = np.array([m in asg.treated for m in panel.members(v)], dtype=bool)
+            codes = refinement_codes(panel.network(v, 1, layer).adjacency, treated)
+            assert [REFINEMENT_LABELS[c] for c in codes] == [
+                labels[m] for m in panel.members(v)]
+
+
+def assert_same_fit(grouped, rows, rel=1e-9):
+    """Same flags and iterations; estimates, SEs and log-likelihood within ``rel``.
+
+    A separated fit stops with its information matrix near singular and its
+    estimates diverging, so there only the estimates are compared, to 1e-6
+    relative or 1e-5 absolute (for a difference of two diverging terms).
+    """
+    assert grouped.n_observations == rows.n_observations
+    assert grouped.iterations == rows.iterations
+    assert grouped.converged == rows.converged
+    assert grouped.separated == rows.separated
+    assert grouped.dropped == rows.dropped
+    assert grouped.reference == rows.reference
+    assert list(grouped.coefficients) == list(rows.coefficients)
+    assert grouped.log_likelihood == pytest.approx(rows.log_likelihood, rel=rel)
+    for term, coef in rows.coefficients.items():
+        got = grouped.coefficients[term]
+        if rows.separated:
+            assert got.estimate == pytest.approx(coef.estimate, rel=1e-6, abs=1e-5)
+        else:
+            assert got.estimate == pytest.approx(coef.estimate, rel=rel)
+            assert got.std_error == pytest.approx(coef.std_error, rel=rel)
+
+
+class TestGroupedFit:
+    """One weighted row per category fits the same model as one row per dyad."""
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matches_row_level_fit(self, three_layer_panel, outcome, scheme):
+        panel = three_layer_panel
+        grouped = fit_logistic_irls(dyad_dataset(panel, "health"), outcome, scheme)
+        labels, y = outcome_rows(enumerate_dyads(panel, "health"), scheme, outcome)
+        rows = fit_categorical_logistic(labels, np.array(y), outcome=outcome, scheme=scheme)
+        assert_same_fit(grouped, rows)
+
+    def test_random_counts_match_expanded_rows(self):
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            cats = sorted(rng.choice(["UoUo", "UU", "UT", "TU", "TT"],
+                                     size=int(rng.integers(1, 6)), replace=False))
+            trials = rng.integers(1, 40, size=len(cats))
+            hits = np.array([rng.integers(0, t + 1) for t in trials])
+            labels = [c for c, t in zip(cats, trials) for _ in range(t)]
+            y = np.concatenate([[1.0] * k + [0.0] * (t - k) for t, k in zip(trials, hits)])
+            rows = fit_categorical_logistic(labels, y)
+            grouped = fit_categorical_logistic(cats, hits, trials=trials)
+            assert_same_fit(grouped, rows)
+
+    def test_binomial_forms_equal_expanded_rows(self):
+        rng = np.random.default_rng(59)
+        X = np.column_stack([np.ones(4), np.eye(4)[:, 1:]])
+        trials = np.array([5.0, 1.0, 7.0, 3.0])
+        y = np.array([2.0, 1.0, 0.0, 3.0])
+        beta = rng.normal(scale=0.5, size=4)
+        reps = np.repeat(np.arange(4), trials.astype(int))
+        y_rows = np.concatenate([[1.0] * int(k) + [0.0] * int(t - k)
+                                 for t, k in zip(trials, y)])
+        assert logistic_nll(X, y, beta, trials) == pytest.approx(
+            logistic_nll(X[reps], y_rows, beta), rel=1e-12)
+        assert np.allclose(logistic_score(X, y, beta, trials),
+                           logistic_score(X[reps], y_rows, beta), rtol=1e-12, atol=1e-12)
+        assert np.allclose(logistic_hessian(X, y, beta, trials),
+                           logistic_hessian(X[reps], y_rows, beta), rtol=1e-12, atol=1e-12)
