@@ -6,17 +6,17 @@ from .core import (
     ALLOWED_DOSAGES,
     BASE_LAYERS,
     DEFAULT_LAYER_SPECS,
+    CodedColumn,
     ExclusionReport,
     IngestionError,
     Individual,
     LayerSpec,
-    RosterRow,
+    ResponseTable,
+    RosterTable,
     StudyPanel,
-    SurveyResponse,
     TreatmentDesign,
     apply_inclusion_criteria,
     aggregate_layers,
-    build_layer,
     build_panel,
     directed_union,
     exclude_intra_household,

@@ -1,21 +1,24 @@
 """Study data model: rosters, treatment design, layer construction, inclusion.
 
-The panel is built in two steps. `apply_inclusion_criteria` filters raw roster
-rows and survey responses down to the fixed two-wave panel and reports every
-exclusion. `build_panel` then constructs one directed network per
-(village, wave, layer) from the surviving name-generator responses; derived
-networks (aggregated, directed union, residual, intra-household-excluded) are
-resolved on demand from those base layers.
+The panel is built in two steps. `apply_inclusion_criteria` filters the raw
+roster and survey-response tables (one column per field) down to the fixed
+two-wave panel and reports every exclusion. `build_panel` then constructs one
+directed network per (village, wave, layer) from the surviving name-generator
+responses; derived networks (aggregated, directed union, residual,
+intra-household-excluded) are resolved on demand from those base layers.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import floor
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .networks import Edge, LayerNetwork, NetworkError, require_same_support
+import numpy as np
+
+from .networks import LayerNetwork, NetworkError, _sorted_unique, require_same_support
 
 log = logging.getLogger(__name__)
 
@@ -59,38 +62,115 @@ class Individual:
     covariates: Mapping[str, float] | None = None
 
 
-@dataclass(frozen=True)
-class RosterRow:
-    """One raw roster line prior to inclusion filtering.
+def _rows_of(index: Mapping[str, int], names: Sequence[str]) -> np.ndarray:
+    """index[name] for every name, -1 where the name is not a key."""
+    return np.fromiter(map(index.get, names, repeat(-1)), dtype=np.intp, count=len(names))
 
-    Wave-3 household/village default to the wave-1 values when the input does
-    not carry them, so movers are detectable only when those columns exist.
+
+@dataclass(frozen=True)
+class RosterTable:
+    """Raw roster lines prior to inclusion filtering, one column per field.
+
+    Entry k of every column belongs to the same line. Wave-3 household and
+    village are None where the input does not carry them, so movers are
+    detectable only when those columns exist. ``covariates`` maps each
+    covariate column to its values (None where blank); ``line`` holds 1-based
+    input line numbers when the table was read from a file.
     """
 
-    individual_id: str
-    household_id: str
-    village_id: str
-    treated: bool
-    wave1_present: bool
-    wave3_present: bool
-    forms_complete: bool = True
-    wave3_household_id: str | None = None
-    wave3_village_id: str | None = None
-    village_dosage: float | None = None
-    covariates: Mapping[str, float] | None = None
-    line: int | None = None
+    individual_id: Sequence[str]
+    household_id: Sequence[str]
+    village_id: Sequence[str]
+    treated: np.ndarray
+    wave1_present: np.ndarray
+    wave3_present: np.ndarray
+    forms_complete: np.ndarray
+    wave3_household_id: Sequence[str | None]
+    wave3_village_id: Sequence[str | None]
+    village_dosage: Sequence[float | None]
+    covariates: Mapping[str, Sequence[float | None]] = field(default_factory=dict)
+    line: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.individual_id)
+
+    def take(self, rows: Sequence[int]) -> "RosterTable":
+        """The table restricted to ``rows``, in that order."""
+        def pick(column):
+            return [column[k] for k in rows]
+
+        index = np.asarray(rows, dtype=np.intp)
+        return RosterTable(
+            pick(self.individual_id), pick(self.household_id), pick(self.village_id),
+            self.treated[index], self.wave1_present[index], self.wave3_present[index],
+            self.forms_complete[index], pick(self.wave3_household_id),
+            pick(self.wave3_village_id), pick(self.village_dosage),
+            {c: pick(values) for c, values in self.covariates.items()},
+            None if self.line is None else self.line[index],
+        )
 
 
 @dataclass(frozen=True)
-class SurveyResponse:
-    """A single name-generator nomination: ego named alter on one question."""
+class CodedColumn:
+    """A column of strings as one integer code per row into its distinct ``labels``."""
 
-    wave: int
-    village_id: str
-    question_id: str
-    ego: str
-    alter: str
-    line: int | None = None
+    labels: Sequence[str]
+    codes: np.ndarray
+
+    @classmethod
+    def of(cls, values: Sequence[str]) -> "CodedColumn":
+        """Labels in order of first appearance."""
+        code = {v: k for k, v in enumerate(dict.fromkeys(values))}
+        return cls(list(code), _rows_of(code, values))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, k: int) -> str:
+        return self.labels[self.codes[k]]
+
+    def lookup(self, table: Mapping[str, int]) -> np.ndarray:
+        """table[value] for every row, -1 where the value is not a key."""
+        return _rows_of(table, self.labels)[self.codes]
+
+    def relabel(self, fn: Callable[[str], str]) -> "CodedColumn":
+        """Every value replaced by fn(value); rows whose new values agree share a code."""
+        merged = CodedColumn.of([fn(label) for label in self.labels])
+        return CodedColumn(merged.labels, merged.codes[self.codes])
+
+    def take(self, keep: np.ndarray) -> "CodedColumn":
+        return CodedColumn(self.labels, self.codes[keep])
+
+
+@dataclass(frozen=True)
+class ResponseTable:
+    """Name-generator nominations, one column per field: ego named alter on one question.
+
+    ``line`` holds 1-based input line numbers when the table was read from a
+    file; error messages cite them.
+    """
+
+    wave: np.ndarray
+    village_id: CodedColumn
+    question_id: CodedColumn
+    ego: CodedColumn
+    alter: CodedColumn
+    line: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.wave)
+
+    def take(self, keep: np.ndarray) -> "ResponseTable":
+        """The rows where the boolean mask ``keep`` is True, in input order."""
+        return ResponseTable(
+            self.wave[keep], self.village_id.take(keep), self.question_id.take(keep),
+            self.ego.take(keep), self.alter.take(keep),
+            None if self.line is None else self.line[keep],
+        )
+
+    def where(self, k: int) -> str:
+        """Suffix naming the input line of row k, if known."""
+        return "" if self.line is None else f" (line {int(self.line[k])})"
 
 
 @dataclass(frozen=True)
@@ -202,124 +282,88 @@ class ExclusionReport:
     individuals: dict[str, int] = field(default_factory=dict)
     responses: dict[str, int] = field(default_factory=dict)
 
-    def count_individual(self, reason: str) -> None:
-        self.individuals[reason] = self.individuals.get(reason, 0) + 1
-
-    def count_response(self, reason: str) -> None:
-        self.responses[reason] = self.responses.get(reason, 0) + 1
-
 
 INDIVIDUAL_EXCLUSION_REASONS = ("incomplete_forms", "absent", "moved")
 RESPONSE_DROP_REASONS = ("excluded_ego", "excluded_alter", "cross_village")
 
 
 def apply_inclusion_criteria(
-    raw_roster: Sequence[RosterRow],
-    raw_responses: Sequence[SurveyResponse],
-) -> tuple[list[RosterRow], list[SurveyResponse], ExclusionReport]:
+    raw_roster: RosterTable,
+    raw_responses: ResponseTable,
+) -> tuple[RosterTable, ResponseTable, ExclusionReport]:
     """Restrict to the fixed panel: complete forms, present both waves, no moves.
 
     Responses naming an excluded individual lose the edge only; the respondent
     stays in the panel. Cross-village nominations are dropped with a count.
     A response naming an id absent from the roster altogether is an error.
+    Kept roster rows come back sorted by id, kept responses in input order.
     """
     report = ExclusionReport()
-    known: dict[str, RosterRow] = {}
-    for row in raw_roster:
-        if row.individual_id in known:
-            raise IngestionError(f"duplicate roster id {row.individual_id}")
-        known[row.individual_id] = row
+    ids = raw_roster.individual_id
+    row_of = dict(zip(ids, range(len(ids))))
+    if len(row_of) != len(ids):
+        seen: set[str] = set()
+        for rid in ids:
+            if rid in seen:
+                raise IngestionError(f"duplicate roster id {rid}")
+            seen.add(rid)
 
-    kept: dict[str, RosterRow] = {}
-    for rid in sorted(known):
-        row = known[rid]
-        if not row.forms_complete:
-            report.count_individual("incomplete_forms")
-            continue
-        if not (row.wave1_present and row.wave3_present):
-            report.count_individual("absent")
-            continue
-        moved_household = (row.wave3_household_id is not None
-                           and row.wave3_household_id != row.household_id)
-        moved_village = (row.wave3_village_id is not None
-                         and row.wave3_village_id != row.village_id)
-        if moved_household or moved_village:
-            report.count_individual("moved")
-            continue
-        kept[rid] = row
+    incomplete = ~raw_roster.forms_complete
+    absent = ~incomplete & ~(raw_roster.wave1_present & raw_roster.wave3_present)
+    moves = np.array([(h3 is not None and h3 != h) or (v3 is not None and v3 != v)
+                      for h, v, h3, v3 in zip(raw_roster.household_id, raw_roster.village_id,
+                                              raw_roster.wave3_household_id,
+                                              raw_roster.wave3_village_id)], dtype=bool)
+    moved = ~incomplete & ~absent & moves
+    kept = ~(incomplete | absent | moved)
+    for reason, mask in zip(INDIVIDUAL_EXCLUSION_REASONS, (incomplete, absent, moved)):
+        if mask.any():
+            report.individuals[reason] = int(mask.sum())
 
-    kept_responses: list[SurveyResponse] = []
-    for resp in raw_responses:
-        for endpoint in (resp.ego, resp.alter):
-            if endpoint not in known:
-                where = f" (line {resp.line})" if resp.line is not None else ""
-                raise IngestionError(
-                    f"response names unknown individual {endpoint}{where}"
-                )
-        if known[resp.ego].village_id != known[resp.alter].village_id:
-            report.count_response("cross_village")
-            continue
-        if resp.ego not in kept:
-            report.count_response("excluded_ego")
-            continue
-        if resp.alter not in kept:
-            report.count_response("excluded_alter")
-            continue
-        kept_responses.append(resp)
+    ego = raw_responses.ego.lookup(row_of)
+    alter = raw_responses.alter.lookup(row_of)
+    unknown = (ego < 0) | (alter < 0)
+    if unknown.any():
+        k = int(np.argmax(unknown))
+        name = raw_responses.ego[k] if ego[k] < 0 else raw_responses.alter[k]
+        raise IngestionError(f"response names unknown individual {name}{raw_responses.where(k)}")
+    village = CodedColumn.of(raw_roster.village_id).codes
+    cross = village[ego] != village[alter]
+    drops = {"cross_village": cross, "excluded_ego": ~cross & ~kept[ego],
+             "excluded_alter": ~cross & kept[ego] & ~kept[alter]}
+    # reasons in order of first occurrence, as a row-by-row count would list them
+    for reason in sorted((r for r in drops if drops[r].any()),
+                         key=lambda r: int(np.argmax(drops[r]))):
+        report.responses[reason] = int(drops[reason].sum())
+    keep = ~cross & kept[ego] & kept[alter]
 
     dropped = sum(report.responses.values())
     if dropped:
         log.info("inclusion filtering dropped %d responses: %s", dropped, report.responses)
-    return [kept[rid] for rid in sorted(kept)], kept_responses, report
-
-
-def build_layer(
-    responses: Sequence[SurveyResponse],
-    layer_spec: LayerSpec,
-    village: str,
-    wave: int,
-    nodes: Sequence[str],
-) -> LayerNetwork:
-    """Union of nominations among a village's member ids; inverted questions flip direction."""
-    node_set = set(nodes)
-    question_set = set(layer_spec.question_ids)
-    edges: set[Edge] = set()
-    for resp in responses:
-        if resp.village_id != village or resp.wave != wave:
-            continue
-        if resp.question_id not in question_set:
-            raise IngestionError(
-                f"response question {resp.question_id} not in layer {layer_spec.layer}"
-            )
-        if resp.ego not in node_set or resp.alter not in node_set:
-            continue  # excluded individuals lose the edge only
-        if resp.ego == resp.alter:
-            where = f" (line {resp.line})" if resp.line is not None else ""
-            raise IngestionError(f"self-nomination by {resp.ego}{where}")
-        if layer_spec.inverted[resp.question_id]:
-            edges.add((resp.alter, resp.ego))
-        else:
-            edges.add((resp.ego, resp.alter))
-    return LayerNetwork(village, wave, layer_spec.layer, nodes, frozenset(edges), directed=True)
+    order = sorted(np.flatnonzero(kept).tolist(), key=ids.__getitem__)
+    return raw_roster.take(order), raw_responses.take(keep), report
 
 
 def aggregate_layers(health: LayerNetwork, friendship: LayerNetwork,
                      financial: LayerNetwork) -> LayerNetwork:
     """Undirected union: a tie of any kind in either direction is one edge."""
-    require_same_support(health, friendship, financial)
-    pairs = {frozenset(e) for net in (health, friendship, financial) for e in net.edges}
-    edges = frozenset(tuple(sorted(p)) for p in pairs)
-    return LayerNetwork(health.village_id, health.wave, "aggregated",
-                        health.nodes, edges, directed=False)
+    return _union(health, friendship, financial, "aggregated", directed=False)
 
 
 def directed_union(health: LayerNetwork, friendship: LayerNetwork,
                    financial: LayerNetwork) -> LayerNetwork:
     """Directed union of the three base layers (the directed social network)."""
-    require_same_support(health, friendship, financial)
-    edges = health.edges | friendship.edges | financial.edges
-    return LayerNetwork(health.village_id, health.wave, "social",
-                        health.nodes, edges, directed=True)
+    return _union(health, friendship, financial, "social", directed=True)
+
+
+def _union(health: LayerNetwork, friendship: LayerNetwork, financial: LayerNetwork,
+           layer: str, directed: bool) -> LayerNetwork:
+    """All three layers' index pairs in one network; the constructor merges repeats."""
+    nets = (health, friendship, financial)
+    require_same_support(*nets)
+    return LayerNetwork(health.village_id, health.wave, layer, health.nodes, directed=directed,
+                        pairs=(np.concatenate([net.src for net in nets]),
+                               np.concatenate([net.dst for net in nets])))
 
 
 def residual_network(target: LayerNetwork, health: LayerNetwork) -> LayerNetwork:
@@ -328,20 +372,23 @@ def residual_network(target: LayerNetwork, health: LayerNetwork) -> LayerNetwork
         raise NetworkError(f"residual networks are defined for {RESIDUAL_TARGETS}, "
                            f"not {target.layer}")
     require_same_support(target, health)
-    return target.replace_edges(target.edges - health.edges)
+    n = target.n
+    return target.keep_edges(~np.isin(target.src * n + target.dst, health.src * n + health.dst))
 
 
 def exclude_intra_household(network: LayerNetwork,
                             roster: Mapping[str, Individual]) -> LayerNetwork:
     """Drop edges whose endpoints share a household; nodes are unchanged."""
-    def household(node: str) -> str:
-        try:
-            return roster[node].household_id
-        except KeyError:
-            raise IngestionError(f"node {node} has no roster entry") from None
-
-    kept = frozenset(e for e in network.edges if household(e[0]) != household(e[1]))
-    return network.replace_edges(kept)
+    code: dict[str, int] = {}
+    household = np.array([code.setdefault(roster[node].household_id, len(code))
+                          if node in roster else -1 for node in network.nodes], dtype=np.intp)
+    src, dst = household[network.src], household[network.dst]
+    missing = (src < 0) | (dst < 0)
+    if missing.any():
+        k = int(np.argmax(missing))
+        end = network.src[k] if src[k] < 0 else network.dst[k]
+        raise IngestionError(f"node {network.nodes[end]} has no roster entry")
+    return network.keep_edges(src != dst)
 
 
 _T = TypeVar("_T")
@@ -423,39 +470,41 @@ class StudyPanel:
 
 
 def build_panel(
-    roster: Sequence[RosterRow],
-    responses: Sequence[SurveyResponse],
+    roster: RosterTable,
+    responses: ResponseTable,
     layer_specs: Sequence[LayerSpec] = DEFAULT_LAYER_SPECS,
 ) -> StudyPanel:
-    """Assemble a StudyPanel from inclusion-filtered rows and responses."""
-    question_to_layer: dict[str, LayerSpec] = {}
-    for spec in layer_specs:
-        for q in spec.question_ids:
-            if q in question_to_layer:
-                raise IngestionError(f"question {q} assigned to more than one layer")
-            question_to_layer[q] = spec
+    """Assemble a StudyPanel from inclusion-filtered roster and responses.
 
-    individuals = {
-        row.individual_id: Individual(
-            id=row.individual_id,
-            household_id=row.household_id,
-            village_id=row.village_id,
-            treated=row.treated,
-            covariates=row.covariates,
-        )
-        for row in roster
-    }
+    A nomination is a tie in the (village, wave, layer) cell its village
+    column names, from ego to alter (alter to ego on inverted questions),
+    when both ends are members of that village; repeated ties merge. Every
+    cell gets a network, with isolates.
+    """
+    question_code: dict[str, int] = {}   # 2 * spec index + inverted
+    for k, spec in enumerate(layer_specs):
+        for q in spec.question_ids:
+            if q in question_code:
+                raise IngestionError(f"question {q} assigned to more than one layer")
+            question_code[q] = 2 * k + int(spec.inverted[q])
+
+    individuals: dict[str, Individual] = {}
+    covariate_columns = tuple(roster.covariates.items())
+    for k, (iid, household, village, treated) in enumerate(zip(
+            roster.individual_id, roster.household_id, roster.village_id,
+            roster.treated.tolist())):
+        covariates = {c: values[k] for c, values in covariate_columns if values[k] is not None}
+        individuals[iid] = Individual(iid, household, village, treated, covariates or None)
     declared: dict[str, float] = {}
-    for row in roster:
-        if row.village_dosage is None:
+    for village, dosage in zip(roster.village_id, roster.village_dosage):
+        if dosage is None:
             continue
-        prev = declared.get(row.village_id)
-        if prev is not None and prev != row.village_dosage:
+        prev = declared.get(village)
+        if prev is not None and prev != dosage:
             raise IngestionError(
-                f"village {row.village_id}: conflicting declared dosages "
-                f"{prev} and {row.village_dosage}"
+                f"village {village}: conflicting declared dosages {prev} and {dosage}"
             )
-        declared[row.village_id] = row.village_dosage
+        declared[village] = dosage
     design = infer_design(individuals.values(), declared or None)
 
     household_villages: dict[str, str] = {}
@@ -465,28 +514,52 @@ def build_panel(
             raise IngestionError(f"household {ind.household_id} spans two villages")
         household_villages[ind.household_id] = ind.village_id
 
-    for resp in responses:
-        if resp.wave not in WAVES:
-            where = f" (line {resp.line})" if resp.line is not None else ""
-            raise IngestionError(f"wave {resp.wave} outside the two-wave panel{where}")
-        if resp.question_id not in question_to_layer:
-            where = f" (line {resp.line})" if resp.line is not None else ""
-            raise IngestionError(f"unknown question id {resp.question_id}{where}")
+    wave = responses.wave
+    code = responses.question_id.lookup(question_code)
+    bad_wave = (wave != WAVES[0]) & (wave != WAVES[1])
+    bad = bad_wave | (code < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if bad_wave[k]:
+            raise IngestionError(
+                f"wave {int(wave[k])} outside the two-wave panel{responses.where(k)}")
+        raise IngestionError(
+            f"unknown question id {responses.question_id[k]}{responses.where(k)}")
 
-    members: dict[str, list[str]] = {}
-    for ind_id in sorted(individuals):
-        members.setdefault(individuals[ind_id].village_id, []).append(ind_id)
-    by_cell: dict[tuple[str, int, str], list[SurveyResponse]] = {}
-    for resp in responses:
-        layer = question_to_layer[resp.question_id].layer
-        by_cell.setdefault((resp.village_id, resp.wave, layer), []).append(resp)
+    # Every member gets a slot: village rank * size + position among sorted ids.
+    villages = design.villages
+    members: dict[str, list[str]] = {v: [] for v in villages}
+    for iid in sorted(individuals):
+        members[individuals[iid].village_id].append(iid)
+    size = max((len(m) for m in members.values()), default=1)
+    slot = {iid: r * size + k for r, v in enumerate(villages)
+            for k, iid in enumerate(members[v])}
+    ego = responses.ego.lookup(slot)
+    alter = responses.alter.lookup(slot)
+    rank = responses.village_id.lookup({v: r for r, v in enumerate(villages)})
+    inside = (ego >= 0) & (alter >= 0) & (ego // size == rank) & (alter // size == rank)
+    n_layers = len(layer_specs)
+    cell = (rank * len(WAVES) + (wave == WAVES[1])) * n_layers + code // 2
+    loops = np.flatnonzero(inside & (ego == alter))
+    if loops.size:   # the first one met cell by cell, in file order within a cell
+        k = int(loops[np.lexsort((loops, cell[loops]))[0]])
+        raise IngestionError(f"self-nomination by {responses.ego[k]}{responses.where(k)}")
 
+    inverted = (code % 2).astype(bool)
+    src = np.where(inverted, alter, ego) % size
+    dst = np.where(inverted, ego, alter) % size
+    key = _sorted_unique(((cell * size + src) * size + dst)[inside])
+    bounds = np.searchsorted(key // (size * size),
+                             np.arange(len(villages) * len(WAVES) * n_layers + 1))
+    pair = key % (size * size)
     networks: dict[tuple[str, int, str], LayerNetwork] = {}
-    for village in sorted(design.villages):
-        for wave in WAVES:
+    c = 0
+    for village in villages:
+        nodes = tuple(members[village])
+        for w in WAVES:
             for spec in layer_specs:
-                cell = by_cell.get((village, wave, spec.layer), [])
-                networks[(village, wave, spec.layer)] = build_layer(
-                    cell, spec, village, wave, tuple(members[village])
-                )
+                ties = pair[bounds[c]:bounds[c + 1]]
+                networks[(village, w, spec.layer)] = LayerNetwork(
+                    village, w, spec.layer, nodes, pairs=(ties // size, ties % size))
+                c += 1
     return StudyPanel(individuals, design, networks)

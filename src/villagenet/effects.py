@@ -150,11 +150,15 @@ class GroupIndex:
         village_pos = {v: k for k, v in enumerate(self.villages)}
         self.village = np.array([village_pos[panel.individuals[i].village_id]
                                  for i in self.individuals], dtype=np.intp)
-        edges = np.fromiter((position[node] for v in self.villages
-                             for edge in panel.network(v, 1, layer, variant_flags).edges
-                             for node in edge), dtype=np.intp).reshape(-1, 2)
-        self.src = np.concatenate([edges[:, 0], edges[:, 1]])
-        self.dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        src, dst = [], []
+        for v in self.villages:
+            net = panel.network(v, 1, layer, variant_flags)
+            where = np.fromiter(map(position.__getitem__, net.nodes), dtype=np.intp, count=net.n)
+            src.append(where[net.src])
+            dst.append(where[net.dst])
+        src, dst = np.concatenate(src), np.concatenate(dst)
+        self.src = np.concatenate([src, dst])
+        self.dst = np.concatenate([dst, src])
         self.component = _components(len(self.individuals), self.src, self.dst)
         self.observed = self.encode(observed_assignment(panel))
 

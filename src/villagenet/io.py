@@ -1,6 +1,7 @@
 """Delimited-file ingestion, the panel archive, and deterministic exports.
 
-All inputs are UTF-8 comma-delimited with a header row; validation errors cite
+All inputs are UTF-8 comma-delimited with a header row (a byte-order mark is
+allowed); each is read once and split into columns, and validation errors cite
 1-based line numbers. Every export starts with a format-version line and is
 written with sorted, fully deterministic content so byte-level comparison is a
 meaningful reproducibility check.
@@ -8,24 +9,33 @@ meaningful reproducibility check.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
+from contextlib import contextmanager
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence
+
+import numpy as np
 
 from .core import (
     BASE_LAYERS,
+    WAVES,
+    CodedColumn,
     ExclusionReport,
     IngestionError,
     Individual,
     LayerSpec,
-    RosterRow,
+    ResponseTable,
+    RosterTable,
     StudyPanel,
-    SurveyResponse,
     TreatmentDesign,
 )
-from .networks import LayerNetwork
+from .networks import LayerNetwork, NetworkError
 
 FORMAT_VERSION = 1
 
@@ -50,22 +60,73 @@ def _parse_bool(token: str, line: int, column: str) -> bool:
     raise IngestionError(f"line {line}: column {column}: cannot parse boolean {token!r}")
 
 
-def _read_rows(path: str | Path) -> list[tuple[int, list[str]]]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            rows.append((lineno, line.split(",")))
-    if not rows:
+def _read_lines(path: str | Path) -> tuple[np.ndarray, list[str]]:
+    """The non-blank, non-comment lines and their 1-based line numbers.
+
+    The file is read in one piece, with universal newlines; a UTF-8
+    byte-order mark is dropped.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if "" in lines or text.startswith("#") or "\n#" in text:
+        numbered = [(k, line) for k, line in enumerate(lines, start=1)
+                    if line and not line.startswith("#")]
+        numbers = np.array([k for k, _ in numbered], dtype=np.int64)
+        lines = [line for _, line in numbered]
+    else:
+        numbers = np.arange(1, len(lines) + 1)
+    if not lines:
         raise IngestionError(f"{path}: empty file")
-    return rows
+    return numbers, lines
 
 
-def read_roster(path: str | Path) -> list[RosterRow]:
-    rows = _read_rows(path)
-    lineno, header = rows[0]
+def _read_rows(path: str | Path) -> tuple[list[int], list[list[str]]]:
+    """Line numbers and comma-split fields, row by row (for small files)."""
+    numbers, lines = _read_lines(path)
+    return numbers.tolist(), [line.split(",") for line in lines]
+
+
+def _split_columns(lines: list[str], width: int) -> list[list[str]] | None:
+    """The lines' comma-separated fields as ``width`` columns; None if a line has another count."""
+    commas = list(map(str.count, lines, repeat(",")))
+    if commas.count(width - 1) != len(lines):
+        return None
+    if not lines:
+        return [[] for _ in range(width)]
+    fields = ",".join(lines).split(",")
+    return [fields[k::width] for k in range(width)]
+
+
+def _parse_column(tokens: Sequence[str], parse: Callable[[str], object]) -> list | None:
+    """parse(token) for every token, each distinct token parsed once; None if one fails."""
+    value = {}
+    try:
+        for token in set(tokens):
+            value[token] = parse(token)
+    except (IngestionError, ValueError, OverflowError):
+        return None
+    return list(map(value.__getitem__, tokens))
+
+
+def _scan(path: str | Path, numbers: np.ndarray, lines: list[str],
+          check: Callable[[int, list[str]], None]) -> NoReturn:
+    """Raise the error of the first bad line, once a column-wise check has found one."""
+    for lineno, line in zip(numbers.tolist(), lines):
+        check(lineno, line.split(","))
+    raise AssertionError(f"{path}: a column-wise check failed on no line")
+
+
+def _number_or_none(token: str) -> float | None:
+    token = token.strip()
+    return float(token) if token else None
+
+
+def read_roster(path: str | Path) -> RosterTable:
+    numbers, lines = _read_lines(path)
+    lineno, header = int(numbers[0]), lines[0].split(",")
     if tuple(header[: len(ROSTER_REQUIRED)]) != ROSTER_REQUIRED:
         raise IngestionError(
             f"{path}: line {lineno}: roster header must start with "
@@ -76,95 +137,137 @@ def read_roster(path: str | Path) -> list[RosterRow]:
         if extras.count(name) > 1:
             raise IngestionError(f"{path}: line {lineno}: duplicate column {name}")
     covariate_cols = [c for c in extras if c not in ROSTER_OPTIONAL]
+    flags = [c for c in ("treated", "wave1_present", "wave3_present", "forms_complete")
+             if c in header]
+    numbers, lines = numbers[1:], lines[1:]
 
-    out = []
-    for lineno, fields in rows[1:]:
+    def check(lineno: int, fields: list[str]) -> None:
         if len(fields) != len(header):
             raise IngestionError(
                 f"{path}: line {lineno}: expected {len(header)} fields, got {len(fields)}"
             )
         rec = dict(zip(header, fields))
-        covariates = {}
         for c in covariate_cols:
             token = rec[c].strip()
-            if token == "":
-                continue
-            try:
-                covariates[c] = float(token)
-            except ValueError:
-                raise IngestionError(
-                    f"{path}: line {lineno}: covariate {c} is not numeric: {token!r}"
-                ) from None
+            if token:
+                try:
+                    float(token)
+                except ValueError:
+                    raise IngestionError(
+                        f"{path}: line {lineno}: covariate {c} is not numeric: {token!r}"
+                    ) from None
         dosage_token = rec.get("village_dosage", "").strip()
         if dosage_token:
             try:
-                dosage = float(dosage_token)
+                float(dosage_token)
             except ValueError:
                 raise IngestionError(
                     f"{path}: line {lineno}: village_dosage is not numeric: "
                     f"{dosage_token!r}"
                 ) from None
-        else:
-            dosage = None
-        out.append(RosterRow(
-            individual_id=rec["individual_id"].strip(),
-            household_id=rec["household_id"].strip(),
-            village_id=rec["village_id"].strip(),
-            treated=_parse_bool(rec["treated"], lineno, "treated"),
-            wave1_present=_parse_bool(rec["wave1_present"], lineno, "wave1_present"),
-            wave3_present=_parse_bool(rec["wave3_present"], lineno, "wave3_present"),
-            forms_complete=_parse_bool(rec["forms_complete"], lineno, "forms_complete")
-            if "forms_complete" in rec else True,
-            wave3_household_id=rec.get("wave3_household_id", "").strip() or None,
-            wave3_village_id=rec.get("wave3_village_id", "").strip() or None,
-            village_dosage=dosage,
-            covariates=covariates or None,
-            line=lineno,
-        ))
-    return out
+        for c in flags:
+            _parse_bool(rec[c], lineno, c)
+
+    columns = _split_columns(lines, len(header))
+    if columns is None:
+        _scan(path, numbers, lines, check)
+    position = {name: k for k, name in enumerate(header)}   # the last of a repeated name
+    n = len(lines)
+
+    def column(name: str) -> list[str] | None:
+        return columns[position[name]] if name in position else None
+
+    def parsed(name: str, parse: Callable[[str], object], absent: object) -> list:
+        tokens = column(name)
+        if tokens is None:
+            return [absent] * n
+        values = _parse_column(tokens, parse)
+        if values is None:
+            _scan(path, numbers, lines, check)
+        return values
+
+    def flag(name: str) -> np.ndarray:
+        return np.array(parsed(name, lambda t: _parse_bool(t, 0, name), True), dtype=bool)
+
+    def optional_id(name: str) -> list[str | None]:
+        tokens = column(name)
+        return [None] * n if tokens is None else [t.strip() or None for t in tokens]
+
+    return RosterTable(
+        individual_id=list(map(str.strip, column("individual_id"))),
+        household_id=list(map(str.strip, column("household_id"))),
+        village_id=list(map(str.strip, column("village_id"))),
+        treated=flag("treated"),
+        wave1_present=flag("wave1_present"),
+        wave3_present=flag("wave3_present"),
+        forms_complete=flag("forms_complete"),
+        wave3_household_id=optional_id("wave3_household_id"),
+        wave3_village_id=optional_id("wave3_village_id"),
+        village_dosage=parsed("village_dosage", _number_or_none, None),
+        covariates={c: parsed(c, _number_or_none, None) for c in covariate_cols},
+        line=numbers,
+    )
 
 
-def read_edges(path: str | Path) -> list[SurveyResponse]:
-    rows = _read_rows(path)
-    lineno, header = rows[0]
+def _parse_wave(token: str) -> int:
+    wave = int(token.strip())
+    if not -2**63 <= wave < 2**63:
+        raise OverflowError(token.strip())
+    return wave
+
+
+def read_edges(path: str | Path) -> ResponseTable:
+    numbers, lines = _read_lines(path)
+    lineno, header = int(numbers[0]), lines[0].split(",")
     if tuple(header) != EDGE_COLUMNS:
         raise IngestionError(
             f"{path}: line {lineno}: edge header must be {','.join(EDGE_COLUMNS)}"
         )
-    out = []
-    for lineno, fields in rows[1:]:
+    numbers, lines = numbers[1:], lines[1:]
+
+    def check(lineno: int, fields: list[str]) -> None:
         if len(fields) != len(EDGE_COLUMNS):
             raise IngestionError(
                 f"{path}: line {lineno}: expected {len(EDGE_COLUMNS)} fields, "
                 f"got {len(fields)}"
             )
-        wave_token = fields[0].strip()
+        token = fields[0].strip()
         try:
-            wave = int(wave_token)
+            _parse_wave(token)
         except ValueError:
             raise IngestionError(
-                f"{path}: line {lineno}: wave is not an integer: {wave_token!r}"
+                f"{path}: line {lineno}: wave is not an integer: {token!r}"
             ) from None
-        out.append(SurveyResponse(
-            wave=wave,
-            village_id=fields[1].strip(),
-            question_id=fields[2].strip(),
-            ego=fields[3].strip(),
-            alter=fields[4].strip(),
-            line=lineno,
-        ))
-    return out
+        except OverflowError:
+            raise IngestionError(f"{path}: line {lineno}: wave {token} is out of range") from None
+
+    columns = _split_columns(lines, len(EDGE_COLUMNS))
+    wave = None if columns is None else CodedColumn.of(columns[0])
+    waves = None if wave is None else _parse_column(wave.labels, _parse_wave)
+    if waves is None:
+        _scan(path, numbers, lines, check)
+    del lines
+    n = len(wave)
+    people = CodedColumn.of(columns[3] + columns[4]).relabel(str.strip)
+    return ResponseTable(
+        wave=np.array(waves, dtype=np.int64)[wave.codes],
+        village_id=CodedColumn.of(columns[1]).relabel(str.strip),
+        question_id=CodedColumn.of(columns[2]).relabel(str.strip),
+        ego=CodedColumn(people.labels, people.codes[:n]),
+        alter=CodedColumn(people.labels, people.codes[n:]),
+        line=numbers,
+    )
 
 
 def read_layer_map(path: str | Path) -> list[LayerSpec]:
-    rows = _read_rows(path)
-    lineno, header = rows[0]
+    numbers, rows = _read_rows(path)
+    lineno, header = numbers[0], rows[0]
     if tuple(header) != LAYER_COLUMNS:
         raise IngestionError(
             f"{path}: line {lineno}: layer map header must be {','.join(LAYER_COLUMNS)}"
         )
     per_layer: dict[str, dict[str, bool]] = {}
-    for lineno, fields in rows[1:]:
+    for lineno, fields in zip(numbers[1:], rows[1:]):
         if len(fields) != len(LAYER_COLUMNS):
             raise IngestionError(f"{path}: line {lineno}: expected 3 fields")
         question, layer, inverted = (f.strip() for f in fields)
@@ -186,14 +289,14 @@ def read_layer_map(path: str | Path) -> list[LayerSpec]:
 
 
 def read_blocks(path: str | Path) -> dict[str, str]:
-    rows = _read_rows(path)
-    lineno, header = rows[0]
+    numbers, rows = _read_rows(path)
+    lineno, header = numbers[0], rows[0]
     if tuple(header) != BLOCK_COLUMNS:
         raise IngestionError(
             f"{path}: line {lineno}: block header must be {','.join(BLOCK_COLUMNS)}"
         )
     blocks: dict[str, str] = {}
-    for lineno, fields in rows[1:]:
+    for lineno, fields in zip(numbers[1:], rows[1:]):
         if len(fields) != 2:
             raise IngestionError(f"{path}: line {lineno}: expected 2 fields")
         village, block = fields[0].strip(), fields[1].strip()
@@ -207,66 +310,148 @@ def read_blocks(path: str | Path) -> dict[str, str]:
 # Panel archive.
 
 def write_panel(panel: StudyPanel, path: str | Path) -> None:
-    individuals = [
-        {
-            "id": ind.id,
-            "household_id": ind.household_id,
-            "village_id": ind.village_id,
-            "treated": ind.treated,
-            "covariates": dict(ind.covariates) if ind.covariates else {},
-        }
-        for ind in (panel.individuals[i] for i in sorted(panel.individuals))
-    ]
-    networks = {}
-    for (village, wave, layer) in sorted(panel.networks):
-        net = panel.networks[(village, wave, layer)]
-        networks[f"{village}|{wave}|{layer}"] = sorted([u, v] for u, v in net.edges)
+    """The panel as ``json.dump(doc, indent=2, sort_keys=True)`` would write it.
+
+    ``json`` encodes the small members and each covariate mapping; the
+    individuals and networks arrays, nearly all of the file, are written
+    straight from the panel, the networks from each network's index arrays.
+    """
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": "panel",
-        "individuals": individuals,
+        "individuals": [],
         "village_dosages": {v: panel.design.village_dosages[v] for v in panel.villages},
-        "networks": networks,
+        "networks": {},
     }
-    _write_json(doc, path)
+    head, rest = json.dumps(doc, indent=2, sort_keys=True).split(_INDIVIDUALS_SLOT)
+    middle, tail = rest.split(_NETWORKS_SLOT)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for part in (head, _INDIVIDUALS_SLOT[:-2], _individuals_json(panel),
+                     middle, _NETWORKS_SLOT[:-2], _networks_json(panel), tail, "\n"):
+            fh.write(part)
+
+
+# Members of a top-level panel object holding an empty array or object; json
+# escapes newlines in strings, so each text is found once, at the top level.
+_INDIVIDUALS_SLOT = '\n  "individuals": []'
+_NETWORKS_SLOT = '\n  "networks": {}'
+
+
+def _individuals_json(panel: StudyPanel) -> str:
+    """The individuals array, indented as a member of the top-level panel object."""
+    enc = encode_basestring_ascii
+    records = []
+    for iid in sorted(panel.individuals):
+        ind = panel.individuals[iid]
+        covariates = "{}"
+        if ind.covariates:   # the object as json indents it, shifted to its depth
+            covariates = json.dumps(dict(ind.covariates), indent=2,
+                                    sort_keys=True).replace("\n", "\n      ")
+        records.append(f"    {{\n      \"covariates\": {covariates},\n"
+                       f"      \"household_id\": {enc(ind.household_id)},\n"
+                       f"      \"id\": {enc(ind.id)},\n"
+                       f"      \"treated\": {'true' if ind.treated else 'false'},\n"
+                       f"      \"village_id\": {enc(ind.village_id)}\n    }}")
+    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+
+
+def _networks_json(panel: StudyPanel) -> str:
+    """The networks object, indented as a member of the top-level panel object."""
+    if not panel.networks:
+        return "{}"
+    encoded: dict[str, list[str]] = {}   # village -> its members, JSON-encoded
+    members = []
+    for key, net in sorted(((f"{v}|{w}|{l}", net) for (v, w, l), net in panel.networks.items()),
+                           key=lambda item: item[0]):
+        if net.village_id not in encoded:
+            encoded[net.village_id] = [encode_basestring_ascii(x) for x in net.nodes]
+        names = encoded[net.village_id]
+        if net.edge_count:
+            pairs = ",\n".join([f"      [\n        {names[u]},\n        {names[v]}\n      ]"
+                                for u, v in zip(net.src.tolist(), net.dst.tolist())])
+            members.append(f"    {encode_basestring_ascii(key)}: [\n{pairs}\n    ]")
+        else:
+            members.append(f"    {encode_basestring_ascii(key)}: []")
+    return "{\n" + ",\n".join(members) + "\n  }"
 
 
 def read_panel(path: str | Path) -> StudyPanel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "panel":
-        raise IngestionError(f"{path}: not a panel archive")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise IngestionError(
-            f"{path}: format version {doc.get('format_version')} unsupported"
+    """Load a panel archive; every village needs a network for each wave and base layer."""
+    with _gc_paused():
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc.get("kind") != "panel":
+            raise IngestionError(f"{path}: not a panel archive")
+        if doc.get("format_version") != FORMAT_VERSION:
+            raise IngestionError(
+                f"{path}: format version {doc.get('format_version')} unsupported"
+            )
+        individuals = {
+            rec["id"]: Individual(
+                id=rec["id"],
+                household_id=rec["household_id"],
+                village_id=rec["village_id"],
+                treated=bool(rec["treated"]),
+                covariates=rec.get("covariates") or None,
+            )
+            for rec in doc["individuals"]
+        }
+        assignments: dict[str, dict[str, bool]] = {}
+        for ind in individuals.values():
+            assignments.setdefault(ind.village_id, {})[ind.household_id] = ind.treated
+        design = TreatmentDesign(
+            {v: float(a) for v, a in doc["village_dosages"].items()}, assignments
         )
-    individuals = {
-        rec["id"]: Individual(
-            id=rec["id"],
-            household_id=rec["household_id"],
-            village_id=rec["village_id"],
-            treated=bool(rec["treated"]),
-            covariates=rec.get("covariates") or None,
-        )
-        for rec in doc["individuals"]
-    }
-    assignments: dict[str, dict[str, bool]] = {}
-    for ind in individuals.values():
-        assignments.setdefault(ind.village_id, {})[ind.household_id] = ind.treated
-    design = TreatmentDesign(
-        {v: float(a) for v, a in doc["village_dosages"].items()}, assignments
-    )
-    members: dict[str, list[str]] = {}
-    for ind in individuals.values():
-        members.setdefault(ind.village_id, []).append(ind.id)
-    networks = {}
-    for key, edges in doc["networks"].items():
+        members: dict[str, list[str]] = {}
+        for iid in sorted(individuals):
+            members.setdefault(individuals[iid].village_id, []).append(iid)
+        index = {v: {iid: k for k, iid in enumerate(ids)} for v, ids in members.items()}
+        networks = {}
+        for key, edges in doc["networks"].items():
+            village, wave, layer = _network_key(path, key)
+            if village not in index:
+                raise IngestionError(f"{path}: network {key} names unknown village {village}")
+            if set(map(len, edges)) - {2}:
+                raise IngestionError(f"{path}: network {key}: every edge must be a pair of ids")
+            ends = list(chain.from_iterable(edges))
+            try:
+                flat = np.array(itemgetter(*ends)(index[village]) if ends else (), dtype=np.intp)
+            except KeyError as exc:
+                raise NetworkError(f"edge endpoint {exc.args[0]} not a member of "
+                                   f"{village}/{layer}") from None
+            networks[(village, wave, layer)] = LayerNetwork(
+                village, wave, layer, members[village], pairs=(flat[0::2], flat[1::2]))
+        for village in design.villages:
+            for wave in WAVES:
+                for layer in BASE_LAYERS:
+                    if (village, wave, layer) not in networks:
+                        raise IngestionError(
+                            f"{path}: no {layer} network for village {village} wave {wave}")
+        return StudyPanel(individuals, design, networks)
+
+
+@contextmanager
+def _gc_paused():
+    """Cyclic garbage collection off while a large acyclic document is built.
+
+    Decoding a panel makes one list per edge; each collection pass on the way
+    walks all of them, which costs more than the decoding itself.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _network_key(path: str | Path, key: str) -> tuple[str, int, str]:
+    try:
         village, wave, layer = key.split("|")
-        networks[(village, int(wave), layer)] = LayerNetwork(
-            village, int(wave), layer, tuple(sorted(members[village])),
-            frozenset((u, v) for u, v in edges),
-        )
-    return StudyPanel(individuals, design, networks)
+        return village, int(wave), layer
+    except ValueError:
+        raise IngestionError(f"{path}: network key {key!r} is not village|wave|layer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +614,8 @@ def write_edges_csv(panel: StudyPanel, layer_specs: Sequence[LayerSpec],
     for (village, wave, layer) in sorted(panel.networks):
         net = panel.networks[(village, wave, layer)]
         q = question_for[layer]
-        for u, v in sorted(net.edges):
-            lines.append(f"{wave},{village},{q},{u},{v}")
+        lines += [f"{wave},{village},{q},{net.nodes[u]},{net.nodes[v]}"
+                  for u, v in zip(net.src.tolist(), net.dst.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(EDGE_COLUMNS) + "\n")
         for line in lines:

@@ -33,14 +33,17 @@ DIRECTED_ONLY_METRICS = ("in_degree", "out_degree")
 
 
 def degree_metrics(network: LayerNetwork) -> dict[str, tuple[float, float | None, float | None]]:
-    """Per-node (degree, in_degree, out_degree); in/out are None when undirected."""
+    """Per-node (degree, in_degree, out_degree); in/out are None when undirected.
+
+    Out- and in-degree are the row and column sums of the adjacency, counted
+    from the edge index arrays; degree on a directed layer is their sum.
+    """
+    out_deg = np.bincount(network.src, minlength=network.n).tolist()
+    in_deg = np.bincount(network.dst, minlength=network.n).tolist()
     if not network.directed:
-        return {v: (float(len(network.undirected_neighbors[v])), None, None)
-                for v in network.nodes}
-    out_n = network.out_neighbors
-    in_n = network.in_neighbors
-    return {v: (float(len(in_n[v]) + len(out_n[v])), float(len(in_n[v])), float(len(out_n[v])))
-            for v in network.nodes}
+        return {v: (float(o + i), None, None) for v, o, i in zip(network.nodes, out_deg, in_deg)}
+    return {v: (float(i + o), float(i), float(o))
+            for v, o, i in zip(network.nodes, out_deg, in_deg)}
 
 
 def _bfs_all_sources(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

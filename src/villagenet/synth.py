@@ -276,10 +276,8 @@ def _networks_from_matrices(state: Wave1State, wave: int,
                             ) -> dict[tuple[str, int, str], LayerNetwork]:
     nets = {}
     for (village, layer), mat in matrices.items():
-        mem = state.members[village]
-        ii, jj = np.nonzero(mat)
-        edges = frozenset((mem[i], mem[j]) for i, j in zip(ii.tolist(), jj.tolist()))
-        nets[(village, wave, layer)] = LayerNetwork(village, wave, layer, mem, edges)
+        nets[(village, wave, layer)] = LayerNetwork(village, wave, layer, state.members[village],
+                                                    pairs=np.nonzero(mat))
     return nets
 
 
@@ -293,7 +291,7 @@ def panel_from_state(state: Wave1State,
         for layer in BASE_LAYERS:
             for wave in (1, 3):
                 networks.setdefault((village, wave, layer),
-                                    LayerNetwork(village, wave, layer, mem, frozenset()))
+                                    LayerNetwork(village, wave, layer, mem))
     return StudyPanel(dict(state.individuals), state.design, networks)
 
 

@@ -23,8 +23,9 @@ from villagenet.effects import (
     observed_assignment,
 )
 from villagenet.metrics import MetricTable
-from villagenet.networks import bfs_distances
 from villagenet.randomization import derive_stream
+
+from network_oracle import bfs_distances, undirected_neighbors
 
 
 def did_statistic(table: MetricTable, metric: str, focal, comparison, control_reference,
@@ -106,7 +107,7 @@ def classify_spillover_order(panel: StudyPanel, layer: str, asg: Assignment,
     for village in asg.scope_villages(scope):
         net = panel.network(village, 1, layer, variant_flags)
         treated_here = [i for i in net.nodes if i in asg.treated]
-        dist = bfs_distances(net.undirected_neighbors, treated_here)
+        dist = bfs_distances(undirected_neighbors(net), treated_here)
         for node in net.nodes:
             if node in asg.treated:
                 continue

@@ -1,7 +1,7 @@
 """Per-pair string-id oracle for the dyad categories and their counts.
 
 One Python loop over every ordered within-village pair, labelling each from
-string ids and ``LayerNetwork.has_edge`` / ``undirected_neighbors``: the
+string ids and the ``network_oracle`` edge and neighbour lookups: the
 plainest reading of the category rules, kept to check the array-level counts
 and the streamed dyad rows of ``villagenet.dyadic`` against.
 """
@@ -15,6 +15,8 @@ from typing import Mapping, Sequence
 from villagenet.core import StudyPanel
 from villagenet.dyadic import DyadicError
 from villagenet.effects import Assignment, observed_assignment
+
+from network_oracle import has_edge, undirected_neighbors
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,10 @@ def node_refinement(
     labels: dict[str, str] = {}
     for village in panel.villages:
         net = panel.network(village, 1, layer, variant_flags)
+        neighbors = undirected_neighbors(net)
         for node in net.nodes:
             treated = node in asg.treated
-            exposed = any(nb in asg.treated for nb in net.undirected_neighbors[node])
+            exposed = any(nb in asg.treated for nb in neighbors[node])
             if treated:
                 labels[node] = "T1" if exposed else "To"
             else:
@@ -86,11 +89,11 @@ def enumerate_dyads(
             for alter in panel.members(village):
                 if ego == alter:
                     continue
-                w1 = net1.has_edge(ego, alter)
+                w1 = has_edge(net1, ego, alter)
                 if (sample == "existing_w1" and not w1) or (sample == "nonexisting_w1" and w1):
                     continue
                 coarse, fine = categorize_dyad(ego, alter, panel, refinement, assignment)
-                out.append(OracleDyad(village, ego, alter, w1, net3.has_edge(ego, alter),
+                out.append(OracleDyad(village, ego, alter, w1, has_edge(net3, ego, alter),
                                       coarse, fine))
     return out
 

@@ -33,12 +33,12 @@ from villagenet.metrics import (
     local_clustering,
     metric_table,
 )
-from villagenet.networks import bfs_distances
 from villagenet.randomization import permutation_pvalue
 from villagenet.stats import wasserstein1
 from villagenet.synth import SyntheticScenario, generate_panel, ks_uniform
 
 from conftest import make_panel
+from network_oracle import bfs_distances, undirected_neighbors
 import test_cli
 import test_effects
 import test_metrics
@@ -310,7 +310,7 @@ class TestCriterion9:
             except Exception:
                 continue
             net = panel.network("t", 1, "health")
-            dist = bfs_distances(net.undirected_neighbors, sorted(treated))
+            dist = bfs_distances(undirected_neighbors(net), sorted(treated))
             for mode in ("exclusive", "distance_only"):
                 for include_unreachable in (False, True):
                     labels = classify_spillover_order(

@@ -89,6 +89,36 @@ class TestIngest:
         report = (out / "exclusions.csv").read_text()
         assert "individual,moved,1" in report
 
+    def _ingest_sim(self, sim, roster: Path, out: Path) -> int:
+        return main(["ingest", "--roster", str(roster),
+                     "--edges", str(sim["sim"] / "edges.csv"),
+                     "--layer-map", str(sim["sim"] / "layer_map.csv"), "--out", str(out)])
+
+    def test_ingest_rebuilds_simulated_panel(self, sim, tmp_path):
+        out = tmp_path / "panel"
+        assert self._ingest_sim(sim, sim["sim"] / "roster.csv", out) == 0
+        assert (out / "panel.json").read_bytes() == (sim["sim"] / "panel.json").read_bytes()
+
+    def test_byte_order_mark_accepted(self, sim, tmp_path):
+        roster = tmp_path / "roster.csv"
+        roster.write_bytes(b"\xef\xbb\xbf" + (sim["sim"] / "roster.csv").read_bytes())
+        assert self._ingest_sim(sim, roster, tmp_path / "bom") == 0
+        assert self._ingest_sim(sim, sim["sim"] / "roster.csv", tmp_path / "plain") == 0
+        assert ((tmp_path / "bom" / "panel.json").read_bytes()
+                == (tmp_path / "plain" / "panel.json").read_bytes())
+
+
+class TestPanelStructure:
+    def test_missing_cell_exit_2(self, sim, tmp_path, capsys):
+        doc = json.loads((sim["sim"] / "panel.json").read_text())
+        village = sorted(doc["village_dosages"])[0]
+        del doc["networks"][f"{village}|1|financial"]
+        panel = tmp_path / "panel.json"
+        panel.write_text(json.dumps(doc))
+        code = main(["metrics", "--panel", str(panel), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"no financial network for village {village} wave 1" in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_metrics(self, sim):

@@ -6,12 +6,9 @@ from villagenet.core import (
     DEFAULT_LAYER_SPECS,
     IngestionError,
     Individual,
-    RosterRow,
-    SurveyResponse,
     TreatmentDesign,
     aggregate_layers,
     apply_inclusion_criteria,
-    build_layer,
     build_panel,
     directed_union,
     dosage_group,
@@ -21,6 +18,15 @@ from villagenet.core import (
     treated_household_count,
 )
 from villagenet.networks import LayerNetwork, NetworkError
+
+from ingest_oracle import (
+    RosterRow,
+    SurveyResponse,
+    response_rows,
+    response_table,
+    roster_rows,
+    roster_table,
+)
 
 HEALTH = DEFAULT_LAYER_SPECS[0]
 FRIEND = DEFAULT_LAYER_SPECS[1]
@@ -37,64 +43,82 @@ def resp(ego, alter, wave=1, village="v1", question="health_advice_get", line=No
                           ego=ego, alter=alter, line=line)
 
 
+def inclusion(roster, responses):
+    """apply_inclusion_criteria on rows: tables in, rows out."""
+    kept, kept_responses, report = apply_inclusion_criteria(
+        roster_table(roster), response_table(responses))
+    return roster_rows(kept), response_rows(kept_responses), report
+
+
+def build_layer(responses, layer_spec, village, wave, nodes):
+    """The (village, wave, layer) network build_panel makes from these responses."""
+    roster = [row(node, hid=f"h_{node}", vid=village) for node in nodes]
+    panel = build_panel(roster_table(roster), response_table(responses))
+    return panel.networks[(village, wave, layer_spec.layer)]
+
+
+def panel_of(roster, responses):
+    return build_panel(roster_table(roster), response_table(responses))
+
+
 class TestInclusion:
     def test_kept_when_stable_both_waves(self):
         roster = [row("a"), row("b", hid="h2")]
-        kept, _, report = apply_inclusion_criteria(roster, [])
+        kept, _, report = inclusion(roster, [])
         assert [r.individual_id for r in kept] == ["a", "b"]
         assert report.individuals == {}
 
     def test_mover_dropped_with_reason(self):
         roster = [row("a"), row("b", hid="h2", wave3_household_id="h9")]
-        kept, _, report = apply_inclusion_criteria(roster, [])
+        kept, _, report = inclusion(roster, [])
         assert [r.individual_id for r in kept] == ["a"]
         assert report.individuals == {"moved": 1}
 
     def test_village_mover_dropped(self):
         roster = [row("a", wave3_village_id="v9")]
-        kept, _, report = apply_inclusion_criteria(roster, [])
+        kept, _, report = inclusion(roster, [])
         assert kept == [] and report.individuals == {"moved": 1}
 
     def test_absent_either_wave_dropped(self):
         roster = [row("a", w1=False), row("b", hid="h2", w3=False)]
-        _, _, report = apply_inclusion_criteria(roster, [])
+        _, _, report = inclusion(roster, [])
         assert report.individuals == {"absent": 2}
 
     def test_incomplete_forms_dropped(self):
         roster = [row("a", forms_complete=False)]
-        _, _, report = apply_inclusion_criteria(roster, [])
+        _, _, report = inclusion(roster, [])
         assert report.individuals == {"incomplete_forms": 1}
 
     def test_empty_roster_empty_output(self):
-        kept, responses, report = apply_inclusion_criteria([], [])
+        kept, responses, report = inclusion([], [])
         assert kept == [] and responses == [] and report.individuals == {}
 
     def test_response_to_excluded_alter_drops_edge_only(self):
         roster = [row("a"), row("b", hid="h2", w3=False)]
-        kept, responses, report = apply_inclusion_criteria(roster, [resp("a", "b")])
+        kept, responses, report = inclusion(roster, [resp("a", "b")])
         assert [r.individual_id for r in kept] == ["a"]
         assert responses == []
         assert report.responses == {"excluded_alter": 1}
 
     def test_unknown_individual_is_error(self):
         with pytest.raises(IngestionError, match="ghost"):
-            apply_inclusion_criteria([row("a")], [resp("a", "ghost")])
+            inclusion([row("a")], [resp("a", "ghost")])
 
     def test_cross_village_nomination_dropped_and_counted(self):
         roster = [row("a"), row("b", hid="h2", vid="v2")]
-        _, responses, report = apply_inclusion_criteria(roster, [resp("a", "b")])
+        _, responses, report = inclusion(roster, [resp("a", "b")])
         assert responses == []
         assert report.responses == {"cross_village": 1}
 
     def test_duplicate_roster_id_is_error(self):
         with pytest.raises(IngestionError, match="duplicate"):
-            apply_inclusion_criteria([row("a"), row("a")], [])
+            inclusion([row("a"), row("a")], [])
 
     def test_order_independence(self):
         roster = [row("a"), row("b", hid="h2"), row("c", hid="h3", w3=False)]
         responses = [resp("a", "b"), resp("b", "a", question="health_advice_give")]
-        kept1, resp1, _ = apply_inclusion_criteria(roster, responses)
-        kept2, resp2, _ = apply_inclusion_criteria(roster[::-1], responses[::-1])
+        kept1, resp1, _ = inclusion(roster, responses)
+        kept2, resp2, _ = inclusion(roster[::-1], responses[::-1])
         assert kept1 == kept2
         assert sorted(map(repr, resp1)) == sorted(map(repr, resp2))
 
@@ -256,8 +280,8 @@ class TestBuildPanel:
                   row("y", hid="h5", vid="v2")]
         responses = [resp("a", "b"), resp("b", "c", wave=3),
                      resp("x", "y", village="v2", question="money_borrow")]
-        panel1 = build_panel(roster, responses)
-        panel2 = build_panel(roster[::-1], responses[::-1])
+        panel1 = panel_of(roster, responses)
+        panel2 = panel_of(roster[::-1], responses[::-1])
         assert panel1.villages == ("v1", "v2")
         assert panel1.network("v1", 1, "health").edges == frozenset({("a", "b")})
         assert panel1.network("v2", 1, "financial").edges == frozenset({("x", "y")})
@@ -272,7 +296,7 @@ class TestBuildPanel:
         roster = [row("a"), row("b", hid="h1"), row("c", hid="h2")]
         responses = [resp("a", "b"), resp("a", "c"),
                      resp("a", "c", question="friend_personal")]
-        panel = build_panel(roster, responses)
+        panel = panel_of(roster, responses)
         res = panel.network("v1", 1, "friendship", ("residual",))
         assert res.edges == frozenset()  # a->c is also a health tie
         noint = panel.network("v1", 1, "health", ("exclude_intra_household",))
@@ -283,4 +307,4 @@ class TestBuildPanel:
     def test_wave_outside_panel_is_error(self):
         roster = [row("a"), row("b", hid="h2")]
         with pytest.raises(IngestionError, match="wave 2"):
-            build_panel(roster, [resp("a", "b", wave=2)])
+            panel_of(roster, [resp("a", "b", wave=2)])

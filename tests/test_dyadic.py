@@ -40,6 +40,7 @@ from dyad_oracle import (
     outcome_rows,
     state_counts,
 )
+from network_oracle import has_edge
 
 
 def category_panel():
@@ -323,15 +324,15 @@ class TestSharedAdjacency:
         for v in panel.villages:
             for ego in panel.members(v):
                 for alter in panel.members(v):
-                    linked = nets[(v, 1)].has_edge(ego, alter)
+                    linked = has_edge(nets[(v, 1)], ego, alter)
                     if ego != alter and (sample == "all" or linked == (sample == "existing_w1")):
                         want.add((v, ego, alter))
         dyads = enumerate_dyads(panel, layer, sample)
         got = set()
         for d in dyads:
             got.add((d.village_id, d.ego, d.alter))
-            assert d.link_w1 == nets[(d.village_id, 1)].has_edge(d.ego, d.alter)
-            assert d.link_w3 == nets[(d.village_id, 3)].has_edge(d.ego, d.alter)
+            assert d.link_w1 == has_edge(nets[(d.village_id, 1)], d.ego, d.alter)
+            assert d.link_w3 == has_edge(nets[(d.village_id, 3)], d.ego, d.alter)
         assert len(got) == len(dyads) == len(data)
         assert got == want
         for scheme in SCHEMES:

@@ -13,10 +13,10 @@ from villagenet.effects import (
     observed_assignment,
 )
 from villagenet.metrics import metric_table
-from villagenet.networks import bfs_distances
 
 from conftest import make_panel
 from draw_oracle import counterfactual_trend, did_statistic
+from network_oracle import bfs_distances, undirected_neighbors
 
 
 def spillover_village_panel():
@@ -156,7 +156,7 @@ class TestSpilloverOrder:
                 continue  # treated count incompatible with a 0.2 arm
             labels = classify_spillover_order(panel, "health")
             net = panel.network("t", 1, "health")
-            dist = bfs_distances(net.undirected_neighbors, sorted(treated_ids))
+            dist = bfs_distances(undirected_neighbors(net), sorted(treated_ids))
             for node in net.nodes:
                 if node in treated_ids:
                     continue

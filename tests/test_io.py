@@ -1,12 +1,31 @@
 """File parsing, validation messages, and the panel archive round trip."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from villagenet import io as vio
-from villagenet.core import IngestionError, apply_inclusion_criteria, build_panel
+from villagenet.core import (
+    ALLOWED_DOSAGES,
+    BASE_LAYERS,
+    WAVES,
+    IngestionError,
+    Individual,
+    StudyPanel,
+    TreatmentDesign,
+    apply_inclusion_criteria,
+    build_panel,
+    treated_household_count,
+)
+from villagenet.networks import LayerNetwork
 from villagenet.synth import SyntheticScenario, generate_panel
+
+import ingest_oracle
+from ingest_oracle import response_rows, roster_rows
 
 
 GOOD_LAYERS = ("question_id,layer,inverted\n"
@@ -23,7 +42,7 @@ class TestRoster:
         p.write_text("individual_id,household_id,village_id,treated,"
                      "wave1_present,wave3_present\n"
                      "a,h1,v1,1,1,1\n")
-        rows = vio.read_roster(p)
+        rows = roster_rows(vio.read_roster(p))
         assert rows[0].individual_id == "a"
         assert rows[0].treated is True
         assert rows[0].line == 2
@@ -34,7 +53,7 @@ class TestRoster:
                      "wave1_present,wave3_present,forms_complete,village_dosage,age\n"
                      "a,h1,v1,0,1,1,1,0.2,41\n"
                      "b,h2,v1,0,1,1,0,0.2,\n")
-        rows = vio.read_roster(p)
+        rows = roster_rows(vio.read_roster(p))
         assert rows[0].covariates == {"age": 41.0}
         assert rows[0].village_dosage == 0.2
         assert rows[1].forms_complete is False
@@ -68,7 +87,7 @@ class TestEdgesAndLayers:
         p = tmp_path / "e.csv"
         p.write_text("wave,village_id,question_id,ego_id,alter_id\n"
                      "1,v1,health_advice_get,a,b\n")
-        rows = vio.read_edges(p)
+        rows = response_rows(vio.read_edges(p))
         assert rows[0].wave == 1 and rows[0].ego == "a"
 
     def test_non_integer_wave(self, tmp_path):
@@ -110,6 +129,40 @@ class TestEdgesAndLayers:
         assert vio.read_blocks(p) == {"v1": "x", "v2": "x"}
 
 
+ID_TEXT = st.text(alphabet=st.sampled_from('ab"\\/é村𝄞\u2028 '), max_size=3)
+COVARIATES = st.dictionaries(
+    st.sampled_from(("age", "größe", "z")),
+    st.floats(allow_nan=True, allow_infinity=True) | st.integers(-5, 5), max_size=2)
+
+
+@st.composite
+def random_panels(draw):
+    """Panels with non-ASCII and escaped ids, covariates, and empty networks."""
+    individuals, dosages, assignments, networks = {}, {}, {}, {}
+    for v in range(draw(st.integers(0, 3))):
+        vid = f"v{v}{draw(ID_TEXT)}"
+        n_households = draw(st.integers(1, 3))
+        alpha = draw(st.sampled_from(ALLOWED_DOSAGES))
+        treated = set(draw(st.permutations(range(n_households)))[
+            :treated_household_count(alpha, n_households)])
+        dosages[vid] = alpha
+        assignments[vid] = {f"{vid}h{h}": h in treated for h in range(n_households)}
+        members = []
+        for h in range(n_households):
+            for m in range(draw(st.integers(1, 3))):
+                iid = f"{vid}i{h}{m}{draw(ID_TEXT)}"
+                individuals[iid] = Individual(iid, f"{vid}h{h}", vid, h in treated,
+                                              draw(COVARIATES) or None)
+                members.append(iid)
+        pairs = st.tuples(st.sampled_from(members), st.sampled_from(members)).filter(
+            lambda e: e[0] != e[1])
+        for wave in WAVES:
+            for layer in BASE_LAYERS:
+                edges = draw(st.sets(pairs, max_size=8)) if len(members) > 1 else set()
+                networks[(vid, wave, layer)] = LayerNetwork(vid, wave, layer, members, edges)
+    return StudyPanel(individuals, TreatmentDesign(dosages, assignments), networks)
+
+
 class TestPanelArchive:
     def test_round_trip(self, tmp_path):
         scenario = SyntheticScenario(
@@ -130,6 +183,20 @@ class TestPanelArchive:
         path2 = tmp_path / "panel2.json"
         vio.write_panel(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(panel=random_panels())
+    def test_writer_matches_json_dump_and_round_trips(self, panel):
+        with tempfile.TemporaryDirectory() as tmp:
+            written, reference, again = (Path(tmp) / name for name in ("a", "b", "c"))
+            vio.write_panel(panel, written)
+            ingest_oracle.write_panel(panel, reference)
+            assert written.read_bytes() == reference.read_bytes()
+            loaded = vio.read_panel(written)
+            for key, net in panel.networks.items():
+                assert loaded.networks[key].edges == net.edges
+            vio.write_panel(loaded, again)
+            assert again.read_bytes() == written.read_bytes()
 
     def test_rejects_non_panel_json(self, tmp_path):
         path = tmp_path / "x.json"

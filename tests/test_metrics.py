@@ -16,6 +16,7 @@ from villagenet.networks import LayerNetwork
 from villagenet.synth import SyntheticScenario, generate_panel
 
 from conftest import make_panel
+from network_oracle import has_edge, undirected_neighbors
 
 
 def net_from_edges(n, edges, directed=True):
@@ -260,16 +261,17 @@ class TestClustering:
             edges = {(int(i), int(j)) for i, j in
                      rng.integers(0, n, size=(12, 2)) if i != j}
             net = net_from_edges(n, edges, directed=False)
-            adj = net.undirected_neighbors
+            adj = undirected_neighbors(net)
             v = net.nodes[int(rng.integers(n))]
             nbrs = adj[v]
             if len(nbrs) < 2:
                 continue
             a, b = nbrs[0], nbrs[-1]
-            if a == b or net.has_edge(a, b) or net.has_edge(b, a):
+            if a == b or has_edge(net, a, b) or has_edge(net, b, a):
                 continue
             before = local_clustering(net)[v]
-            after_net = net.replace_edges(set(net.edges) | {(a, b)})
+            after_net = LayerNetwork(net.village_id, net.wave, net.layer, net.nodes,
+                                     set(net.edges) | {(a, b)}, directed=net.directed)
             after = local_clustering(after_net)[v]
             assert after >= before
 
