@@ -21,6 +21,7 @@ from . import __version__
 from . import io as vio
 from .core import (
     ALL_LAYERS,
+    VARIANT_FLAGS,
     IngestionError,
     apply_inclusion_criteria,
     build_panel,
@@ -35,15 +36,18 @@ from .dyadic import (
     fit_logistic_irls,
 )
 from .effects import (
+    CONTRAST_KINDS,
+    DOSAGE_SCOPES,
+    HIGHER_ORDER_MODES,
+    SCALINGS,
     ContrastSpec,
     EffectError,
     effect_suite,
     group_change,
-    observed_assignment,
 )
-from .metrics import metric_table
+from .metrics import METRICS, degree_metrics, metric_table
 from .networks import NetworkError
-from .randomization import permutation_pvalue
+from .randomization import SIDES, permutation_pvalue
 from .stats import StatsError, loess_fit, wasserstein1, welch_ttest
 from .synth import ScenarioError, SyntheticScenario, generate_panel, replicate_study
 
@@ -108,10 +112,15 @@ COMMAND_OPTIONS: dict[str, dict[str, object]] = {
 
 RUNTIME_ONLY = ("out", "threads")
 
-# Options whose value (or each item of a comma list) must be one of a fixed set.
-CHOICES = {"layer": ALL_LAYERS, "layers": ALL_LAYERS, "schemes": SCHEMES,
-           "outcomes": OUTCOMES}
-LIST_OPTIONS = ("layers", "schemes", "outcomes")
+DEGREE_KINDS = ("degree", "in_degree", "out_degree")
+
+# Options whose value (or each item of a comma list, or each variant flag) must be one of a set.
+CHOICES = {"layer": ALL_LAYERS, "layers": ALL_LAYERS, "schemes": SCHEMES, "outcomes": OUTCOMES,
+           "kind": CONTRAST_KINDS, "kinds": CONTRAST_KINDS, "scope": DOSAGE_SCOPES,
+           "scopes": DOSAGE_SCOPES, "metric": METRICS, "metrics": METRICS, "scaling": SCALINGS,
+           "higher_order_mode": HIGHER_ORDER_MODES, "sided": SIDES, "degree_kind": DEGREE_KINDS,
+           "group": ("overall", "treated", "untreated"), "variants": VARIANT_FLAGS}
+LIST_OPTIONS = ("layers", "schemes", "outcomes", "kinds", "scopes", "metrics")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,10 +178,14 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
     for name, allowed in CHOICES.items():
         if name not in config:
             continue
-        values = _parse_list(str(config[name])) if name in LIST_OPTIONS else [str(config[name])]
+        raw = str(config[name])
+        if name == "variants":
+            values = [flag for group in _parse_variants(raw) for flag in group]
+        else:
+            values = _parse_list(raw) if name in LIST_OPTIONS else [raw]
         for value in values:
             if value not in allowed:
-                raise IngestionError(f"--{name}: unknown value '{value}'; "
+                raise IngestionError(f"--{name.replace('_', '-')}: unknown value '{value}'; "
                                      f"expected one of {', '.join(allowed)}")
     return config
 
@@ -337,10 +350,8 @@ def run_wasserstein(config: dict, outdir: Path) -> None:
 
 
 def _degree_sample(net, kind: str) -> list[float]:
-    from .metrics import degree_metrics
-
     deg = degree_metrics(net)
-    index = {"degree": 0, "in_degree": 1, "out_degree": 2}[kind]
+    index = DEGREE_KINDS.index(kind)
     values = [deg[v][index] for v in net.nodes]
     if any(v is None for v in values):
         raise EffectError(f"{kind} undefined on undirected layer {net.layer}")
@@ -353,16 +364,12 @@ def run_doseresponse(config: dict, outdir: Path) -> None:
     metric = str(config["metric"])
     group = str(config["group"])
     table = metric_table(panel, layer, metrics=(metric,))
-    asg = observed_assignment(panel)
+    index = panel.index
     points = []
-    for village in panel.villages:
-        members = panel.members(village)
-        if group == "treated":
-            members = tuple(i for i in members if i in asg.treated)
-        elif group == "untreated":
-            members = tuple(i for i in members if i not in asg.treated)
-        elif group != "overall":
-            raise IngestionError(f"unknown dose-response group {group}")
+    for village, rows in zip(index.villages, index.members):
+        if group != "overall":
+            rows = rows[index.observed[1][rows] == (group == "treated")]
+        members = [index.individuals[i] for i in rows]
         if not members:
             continue
         try:

@@ -6,6 +6,8 @@ two-wave panel and reports every exclusion. `build_panel` then constructs one
 directed network per (village, wave, layer) from the surviving name-generator
 responses; derived networks (aggregated, directed union, residual,
 intra-household-excluded) are resolved on demand from those base layers.
+`StudyPanel.index` is the study-wide integer index (`StudyIndex`) that the
+analyses share, and `has_treated_neighbor` the one wave-1 exposure rule.
 """
 
 from __future__ import annotations
@@ -391,6 +393,58 @@ def exclude_intra_household(network: LayerNetwork,
     return network.keep_edges(src != dst)
 
 
+def has_treated_neighbor(src: np.ndarray, dst: np.ndarray, treated: np.ndarray) -> np.ndarray:
+    """The wave-1 exposure rule: a treated node is a neighbor in either direction.
+
+    ``src``/``dst`` are the edges' endpoint indices into ``treated``.
+    """
+    n = treated.size
+    return (np.bincount(src, weights=treated[dst], minlength=n)
+            + np.bincount(dst, weights=treated[src], minlength=n)) > 0
+
+
+@dataclass(frozen=True, eq=False)
+class StudyIndex:
+    """The study's village, household and individual levels as integer codes.
+
+    Individuals are sorted by id study-wide (the `MetricTable` row order) and
+    villages follow the design. ``members[k]`` holds the positions of village
+    k's members in its networks' node order; households are numbered village
+    by village, sorted within each, as `randomization.DesignIndex` draws them.
+    ``observed`` is the panel's own assignment as (dosage per village,
+    treated flag per individual). Reach it as `StudyPanel.index`.
+    """
+
+    individuals: tuple[str, ...]
+    villages: tuple[str, ...]
+    members: tuple[np.ndarray, ...]
+    village: np.ndarray
+    household: np.ndarray
+    observed: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def of(cls, panel: "StudyPanel") -> "StudyIndex":
+        design, villages = panel.design, panel.design.villages
+        individuals = tuple(sorted(panel.individuals))
+        people = [panel.individuals[iid] for iid in individuals]
+        village = _rows_of({v: k for k, v in enumerate(villages)}, [p.village_id for p in people])
+        # a village's members in id order, the order of its networks' nodes
+        members = tuple(np.split(np.argsort(village, kind="stable"),
+                                 np.cumsum(np.bincount(village, minlength=len(villages)))[:-1]))
+        households = ((v, h) for v in villages for h in design.households(v))
+        code = {vh: k for k, vh in enumerate(households)}
+        household = np.array([code[(p.village_id, p.household_id)] for p in people],
+                             dtype=np.intp)
+        dosages = np.array([design.village_dosages[v] for v in villages], dtype=float)
+        treated = np.array([p.treated for p in people], dtype=bool)
+        return cls(individuals, villages, members, village, household, (dosages, treated))
+
+    def encode(self, assignment) -> tuple[np.ndarray, np.ndarray]:
+        """An assignment (``village_dosages``, a set of ``treated`` ids) in ``observed`` form."""
+        return (np.array([assignment.village_dosages[v] for v in self.villages], dtype=float),
+                np.array([i in assignment.treated for i in self.individuals], dtype=bool))
+
+
 _T = TypeVar("_T")
 
 
@@ -403,7 +457,6 @@ class StudyPanel:
     networks: dict[tuple[str, int, str], LayerNetwork]
 
     def __post_init__(self):
-        self._derived: dict[tuple, LayerNetwork] = {}
         self._compiled: dict[tuple, object] = {}
         grouped: dict[str, list[str]] = {}
         for ind in self.individuals.values():
@@ -425,8 +478,10 @@ class StudyPanel:
     def members(self, village_id: str) -> tuple[str, ...]:
         return self._members[village_id]
 
-    def treated_ids(self) -> frozenset[str]:
-        return frozenset(i for i, ind in self.individuals.items() if ind.treated)
+    @property
+    def index(self) -> StudyIndex:
+        """The study-wide integer index, built once."""
+        return self.compiled(("study_index",), lambda: StudyIndex.of(self))
 
     def compiled(self, key: tuple, build: Callable[[], _T]) -> _T:
         """A structure derived from this panel (e.g. a compiled index), built once per key."""
@@ -445,9 +500,6 @@ class StudyPanel:
             raise ValueError(f"unknown layer {layer}")
         if "residual" in variants and layer not in RESIDUAL_TARGETS:
             raise ValueError(f"residual variant undefined for layer {layer}")
-        key = (village, wave, layer, variants)
-        if key in self._derived:
-            return self._derived[key]
 
         def base(name: str) -> LayerNetwork:
             try:
@@ -455,18 +507,20 @@ class StudyPanel:
             except KeyError:
                 raise ValueError(f"no {name} network for village {village} wave {wave}") from None
 
-        if layer in BASE_LAYERS:
-            net = base(layer)
-        elif layer == "aggregated":
-            net = aggregate_layers(base("health"), base("friendship"), base("financial"))
-        else:
-            net = directed_union(base("health"), base("friendship"), base("financial"))
-        if "residual" in variants:
-            net = residual_network(net, base("health"))
-        if "exclude_intra_household" in variants:
-            net = exclude_intra_household(net, self.individuals)
-        self._derived[key] = net
-        return net
+        def build() -> LayerNetwork:
+            if layer in BASE_LAYERS:
+                net = base(layer)
+            elif layer == "aggregated":
+                net = aggregate_layers(base("health"), base("friendship"), base("financial"))
+            else:
+                net = directed_union(base("health"), base("friendship"), base("financial"))
+            if "residual" in variants:
+                net = residual_network(net, base("health"))
+            if "exclude_intra_household" in variants:
+                net = exclude_intra_household(net, self.individuals)
+            return net
+
+        return self.compiled(("network", village, wave, layer, variants), build)
 
 
 def build_panel(

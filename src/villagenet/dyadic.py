@@ -3,13 +3,16 @@
 Ordered within-village pairs are labelled by the endpoints' treatment status
 (coarse: UoUo in control villages, else UU/UT/TU/TT) and, in treated villages,
 by a finer wave-1 exposure refinement (Uh/U1/To/T1: untreated/treated with or
-without a treated wave-1 neighbor). Category indicators are the only
-covariates, so a sample is kept as counts: per fine category, the number of
-pairs in each (wave-1 link, wave-3 link) state, taken per village straight
-from the cached adjacency matrices without one row per dyad. Dissolution and
-formation are modelled by logistic regressions on category indicators,
-fitted to these grouped binomial counts by Newton/IRLS with exact score and
-observed-information formulas so the optimizer can be audited.
+without a treated wave-1 neighbor, the study's one exposure rule
+`core.has_treated_neighbor`). Treatment status and village membership come
+from the panel's study-wide index (`core.StudyIndex`), under the observed
+assignment. Category indicators are the only covariates, so a sample is kept
+as counts: per fine category, the number of pairs in each (wave-1 link,
+wave-3 link) state, taken per village straight from the cached adjacency
+matrices without one row per dyad. Dissolution and formation are modelled by
+logistic regressions on category indicators, fitted to these grouped binomial
+counts by Newton/IRLS with exact score and observed-information formulas so
+the optimizer can be audited.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import StudyPanel
-from .effects import Assignment, observed_assignment
+from .core import StudyPanel, has_treated_neighbor
 
 log = logging.getLogger(__name__)
 
@@ -37,6 +39,8 @@ SAMPLES = ("existing_w1", "nonexisting_w1", "all")
 # refinement codes 2 and 3 (To, T1) are the treated ones.
 _FINE_TO_COARSE = np.array([0] + [1 + 2 * (a // 2) + b // 2
                                   for a in range(4) for b in range(4)])
+# The coarse category name of each fine category, in FINE_CATEGORIES order.
+COARSE_OF_FINE = tuple(COARSE_CATEGORIES[c] for c in _FINE_TO_COARSE)
 # A pair's link state is 2*link_w1 + link_w3; the states each sample keeps.
 _SAMPLE_STATES = {"existing_w1": (2, 3), "nonexisting_w1": (0, 1), "all": (0, 1, 2, 3)}
 # Per outcome: the states that are trials and the states that are successes.
@@ -47,35 +51,40 @@ _OUTCOME_STATES = {
 }
 
 
+# Reference category of the fits, and the Newton iteration cap and score tolerance.
+REFERENCE = "UoUo"
+MAX_ITER = 50
+TOL = 1e-8
+
+
 class DyadicError(ValueError):
     """Invalid dyadic-analysis request."""
 
 
-def refinement_codes(adjacency: np.ndarray, treated: np.ndarray) -> np.ndarray:
+def refinement_codes(src: np.ndarray, dst: np.ndarray, treated: np.ndarray) -> np.ndarray:
     """Wave-1 refinement code per node: 2*treated + exposed, indexing REFINEMENT_LABELS.
 
-    A node is exposed when a treated node is its neighbor in either direction.
+    ``src``/``dst`` are the wave-1 edges; a node is exposed when a treated
+    node is its neighbor in either direction (`core.has_treated_neighbor`).
     """
-    exposed = (adjacency | adjacency.T)[:, treated].any(axis=1)
-    return (2 * treated + exposed).astype(np.int8)
+    return (2 * treated + has_treated_neighbor(src, dst, treated)).astype(np.int8)
 
 
-def _villages(panel: StudyPanel, layer: str, variant_flags: Sequence[str],
-              asg: Assignment) -> Iterator[tuple]:
+def _villages(panel: StudyPanel, layer: str) -> Iterator[tuple]:
     """Per village: id, members, wave-1 and wave-3 adjacency, refinement codes.
 
     The codes are None in a control village, where every pair is UoUo.
     Network nodes are the village's members in the same sorted order.
     """
-    for village in panel.villages:
-        members = panel.members(village)
-        a1 = panel.network(village, 1, layer, variant_flags).adjacency
-        a3 = panel.network(village, 3, layer, variant_flags).adjacency
+    index = panel.index
+    dosages, treated = index.observed
+    for k, village in enumerate(index.villages):
+        net1 = panel.network(village, 1, layer)
+        a3 = panel.network(village, 3, layer).adjacency
         codes = None
-        if asg.village_dosages[village] != 0.0:
-            treated = np.array([m in asg.treated for m in members], dtype=bool)
-            codes = refinement_codes(a1, treated)
-        yield village, members, a1, a3, codes
+        if dosages[k] != 0.0:
+            codes = refinement_codes(net1.src, net1.dst, treated[index.members[k]])
+        yield village, net1.nodes, net1.adjacency, a3, codes
 
 
 @dataclass
@@ -105,13 +114,7 @@ class DyadDataset:
         raise DyadicError(f"unknown category scheme {scheme}")
 
 
-def dyad_dataset(
-    panel: StudyPanel,
-    layer: str,
-    sample: str = "all",
-    variant_flags: Sequence[str] = (),
-    assignment: Assignment | None = None,
-) -> DyadDataset:
+def dyad_dataset(panel: StudyPanel, layer: str, sample: str = "all") -> DyadDataset:
     """Counts of the ordered within-village dyads matching the sample filter.
 
     Per village and link state with off-diagonal mask M, the refinement
@@ -119,10 +122,9 @@ def dyad_dataset(
     """
     if sample not in SAMPLES:
         raise DyadicError(f"unknown dyad sample {sample}")
-    asg = assignment if assignment is not None else observed_assignment(panel)
     states = _SAMPLE_STATES[sample]
     counts = np.zeros((len(FINE_CATEGORIES), 4), dtype=np.int64)
-    for _, _, a1, a3, codes in _villages(panel, layer, variant_flags, asg):
+    for _, _, a1, a3, codes in _villages(panel, layer):
         state = 2 * a1.astype(np.int8) + a3
         np.fill_diagonal(state, -1)
         onehot = None if codes is None else np.eye(4)[codes]
@@ -135,25 +137,19 @@ def dyad_dataset(
     return DyadDataset(layer=layer, sample=sample, counts=counts)
 
 
-def dyad_rows(
-    panel: StudyPanel,
-    layer: str,
-    variant_flags: Sequence[str] = (),
-    assignment: Assignment | None = None,
-) -> Iterator[tuple[str, str, str, str, str, bool, bool]]:
+def dyad_rows(panel: StudyPanel,
+              layer: str) -> Iterator[tuple[str, str, str, str, str, bool, bool]]:
     """Every ordered within-village pair, one village at a time.
 
     Yields (village, ego, alter, coarse, fine, link_w1, link_w3) with villages
     in panel order and pairs row by row in member order.
     """
-    asg = assignment if assignment is not None else observed_assignment(panel)
-    coarse_of = [COARSE_CATEGORIES[c] for c in _FINE_TO_COARSE]
-    for village, members, a1, a3, codes in _villages(panel, layer, variant_flags, asg):
+    for village, members, a1, a3, codes in _villages(panel, layer):
         ii, jj = np.nonzero(~np.eye(len(members), dtype=bool))
         fine = np.zeros(ii.size, dtype=np.intp) if codes is None else 1 + 4 * codes[ii] + codes[jj]
         for i, j, f, w1, w3 in zip(ii.tolist(), jj.tolist(), fine.tolist(),
                                    a1[ii, jj].tolist(), a3[ii, jj].tolist()):
-            yield village, members[i], members[j], coarse_of[f], FINE_CATEGORIES[f], w1, w3
+            yield village, members[i], members[j], COARSE_OF_FINE[f], FINE_CATEGORIES[f], w1, w3
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +216,11 @@ def _normal_two_sided_p(z: float) -> float:
 def fit_categorical_logistic(
     labels: Sequence[str] | np.ndarray,
     y: np.ndarray,
-    reference: str = "UoUo",
     outcome: str = "dissolution",
     scheme: str = "coarse",
-    max_iter: int = 50,
-    tol: float = 1e-8,
     trials: np.ndarray | None = None,
 ) -> LogisticFit:
-    """Intercept + one indicator per non-reference category, Newton-fitted.
+    """Intercept + one indicator per non-``REFERENCE`` category, Newton-fitted.
 
     Row i holds ``y[i]`` successes in ``trials[i]`` Bernoulli draws (default
     1, one row per observation), so per-category counts give the same fit,
@@ -243,18 +236,14 @@ def fit_categorical_logistic(
         raise DyadicError("no observations to fit")
     t = np.ones(labels.size) if trials is None else np.asarray(trials, dtype=float)
     present = sorted(set(labels.tolist()))
-    expected = COARSE_CATEGORIES if scheme == "coarse" else None
-    dropped: tuple[str, ...] = ()
-    if expected is not None:
-        dropped = tuple(c for c in expected if c not in present)
-        if dropped:
-            log.warning("categories %s have no observations and are dropped",
-                        list(dropped))
+    dropped = tuple(c for c in COARSE_CATEGORIES if c not in present) if scheme == "coarse" else ()
+    if dropped:
+        log.warning("categories %s have no observations and are dropped", list(dropped))
+    reference = REFERENCE
     if reference not in present:
-        fallback = present[0]
+        reference = present[0]
         log.warning("reference category %s absent from the data; using %s",
-                    reference, fallback)
-        reference = fallback
+                    REFERENCE, reference)
     others = [c for c in present if c != reference]
 
     separated = []
@@ -274,9 +263,9 @@ def fit_categorical_logistic(
     beta = np.zeros(X.shape[1])
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         score = logistic_score(X, y, beta, t)
-        if np.max(np.abs(score)) < tol:
+        if np.max(np.abs(score)) < TOL:
             converged = True
             iterations -= 1
             break
@@ -377,23 +366,25 @@ class CorrespondenceRow:
     signs_agree: bool
 
 
-def _partner_rates(panel: StudyPanel, layer: str, wave: int,
-                   asg: Assignment) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+def _partner_rates(panel: StudyPanel, layer: str,
+                   wave: int) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """Per node, in panel order: wave-3 link rates to/from treated and untreated partners.
 
     Rates divide realized links (column and row sums of the adjacency over
     the partners' treated/untreated masks) by the number of possible partners
     of that status, making groups with different village sizes comparable;
     a rate with no possible partner is NaN. Also returns the nodes' treated
-    and in-control-village masks.
+    and in-control-village masks under the observed assignment.
     """
+    index = panel.index
+    dosages, treated_flags = index.observed
     parts: dict[str, list[np.ndarray]] = {
         "in_from_treated": [], "in_from_untreated": [], "out_to_untreated": []}
     treated_parts, control_parts = [], []
-    for village in panel.villages:
+    for k, village in enumerate(index.villages):
         net = panel.network(village, wave, layer)
         mat = net.adjacency
-        treated = np.array([m in asg.treated for m in net.nodes], dtype=bool)
+        treated = treated_flags[index.members[k]]
         pot_t = treated.sum() - treated.astype(float)
         pot_u = (net.n - 1) - pot_t
         for key, links, pot in (("in_from_treated", mat[treated].sum(axis=0), pot_t),
@@ -402,22 +393,14 @@ def _partner_rates(panel: StudyPanel, layer: str, wave: int,
             parts[key].append(np.divide(links, pot, out=np.full(net.n, np.nan),
                                         where=pot > 0))
         treated_parts.append(treated)
-        control_parts.append(np.full(net.n, asg.village_dosages[village] == 0.0))
+        control_parts.append(np.full(net.n, dosages[k] == 0.0))
     rates = {key: np.concatenate(vals) for key, vals in parts.items()}
     return rates, np.concatenate(treated_parts), np.concatenate(control_parts)
-
-
-def _group_rate(rates: np.ndarray, group: np.ndarray, key: str) -> float:
-    vals = rates[group & ~np.isnan(rates)]
-    if not vals.size:
-        raise DyadicError(f"no defined {key} rates in a correspondence group")
-    return float(np.mean(vals))
 
 
 def estimand_correspondence(
     panel: StudyPanel,
     layer: str,
-    assignment: Assignment | None = None,
     data: DyadDataset | None = None,
 ) -> tuple[list[CorrespondenceRow], LogisticFit]:
     """Check the dyadic coefficients against their node-level counterparts.
@@ -427,22 +410,24 @@ def estimand_correspondence(
     UU vs the spillover contrast on in-links from untreated, UT/TU vs the
     total-effect contrasts on in-links from / out-links to untreated, and TT
     vs treated in-links from treated against the control baseline. ``data``
-    may pass in the layer's already built "all" dyad sample for the same
-    assignment, so it is not built twice.
+    may pass in the layer's already built "all" dyad sample, so it is not
+    built twice.
     """
-    asg = assignment if assignment is not None else observed_assignment(panel)
     if data is None:
-        data = dyad_dataset(panel, layer, sample="all", assignment=asg)
+        data = dyad_dataset(panel, layer, sample="all")
     elif data.layer != layer or data.sample != "all":
         raise DyadicError(f"correspondence needs the 'all' dyad sample of layer {layer}, "
                           f"not the '{data.sample}' sample of layer {data.layer}")
     fit = fit_logistic_irls(data, "wave3_link", "coarse")
-    rates, treated, control = _partner_rates(panel, layer, 3, asg)
+    rates, treated, control = _partner_rates(panel, layer, 3)
     untreated_in_treated = ~treated & ~control
     treated = treated & ~control
 
     def rate(group: np.ndarray, key: str) -> float:
-        return _group_rate(rates[key], group, key)
+        vals = rates[key][group & ~np.isnan(rates[key])]
+        if not vals.size:
+            raise DyadicError(f"no defined {key} rates in a correspondence group")
+        return float(np.mean(vals))
 
     baseline = rate(control, "in_from_untreated")
     pairings = [

@@ -7,15 +7,17 @@ percentages.
 
 Group membership is a function of the treatment assignment, so one kernel
 classifies both the observed assignment and every re-randomized draw.
-A (panel, layer, variant) is compiled once into integer indices
-(`GroupIndex`, kept on the panel, so single-contrast helpers reuse it): each
-individual's village in `MetricTable.individuals` order, the wave-1 skeleton
-as (src, dst) index arrays and its connected components. `ContrastKernel`
+Individuals, villages and the observed assignment come from the panel's
+study-wide index (`core.StudyIndex`, in `MetricTable.individuals` order). A
+(panel, layer, variant) adds only its wave-1 skeleton (`GroupIndex`, kept on
+the panel, so single-contrast helpers reuse it): (src, dst) index arrays over
+those individuals and the skeleton's connected components. `ContrastKernel`
 adds a value matrix X = [V1 | V3 | defined1 | defined3] over the requested
 metrics with undefined values set to 0. A draw is a dosage per village plus a treated
 flag per individual. Its focal, comparison and control-reference groups are
-boolean rows; first-order exposure is one bincount over the skeleton edges and
-"a treated node is reachable" one bincount over component ids, so no BFS runs
+boolean rows; first-order exposure is the study's one exposure rule
+(`core.has_treated_neighbor`, two bincounts over the skeleton edges) and "a
+treated node is reachable" one bincount over component ids, so no BFS runs
 per draw. All group sums and defined counts come from one product rows @ X,
 and the statistic of every spec follows elementwise. Group means are sums
 over defined counts, so for integer-valued metrics (the degree family) they
@@ -30,8 +32,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import HIGH_DOSAGES, LOW_DOSAGES, WAVES, StudyPanel, dosage_group
-from .metrics import METRICS, MetricTable
+from .core import HIGH_DOSAGES, LOW_DOSAGES, WAVES, StudyIndex, StudyPanel, has_treated_neighbor
+from .metrics import MetricTable, metric_table
 
 log = logging.getLogger(__name__)
 
@@ -53,26 +55,10 @@ class Assignment:
     village_dosages: Mapping[str, float]
     treated: frozenset[str]
 
-    def scope_villages(self, scope: str) -> tuple[str, ...]:
-        """Treated-side villages selected by a dosage scope."""
-        if scope not in DOSAGE_SCOPES:
-            raise EffectError(f"unknown dosage scope {scope}")
-        out = []
-        for v in sorted(self.village_dosages):
-            alpha = self.village_dosages[v]
-            if alpha == 0.0:
-                continue
-            if scope == "all" or dosage_group(alpha) == scope:
-                out.append(v)
-        return tuple(out)
-
-    def control_villages(self) -> tuple[str, ...]:
-        return tuple(v for v in sorted(self.village_dosages)
-                     if self.village_dosages[v] == 0.0)
-
 
 def observed_assignment(panel: StudyPanel) -> Assignment:
-    return Assignment(dict(panel.design.village_dosages), panel.treated_ids())
+    return Assignment(dict(panel.design.village_dosages),
+                      frozenset(i for i, ind in panel.individuals.items() if ind.treated))
 
 
 @dataclass(frozen=True)
@@ -120,9 +106,10 @@ class EffectEstimate:
 def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Connected-component label (smallest member index) of every node.
 
-    Min-label propagation over the symmetric edge list with pointer jumping;
-    every label stays a node of the same component and only decreases.
+    Min-label propagation over the edges in both directions with pointer
+    jumping; every label stays a node of the same component and only decreases.
     """
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     label = np.arange(n)
     while True:
         low = label.copy()
@@ -134,55 +121,35 @@ def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 class GroupIndex:
-    """One (panel, layer, variant) compiled to integer indices.
+    """The wave-1 skeleton of one (panel, layer, variant) over `StudyPanel.index`.
 
-    Individuals follow `MetricTable.individuals` order (sorted study-wide) and
-    villages the panel's order. The wave-1 skeleton is kept as (src, dst)
-    index arrays holding each tie in both directions, with its connected
-    components as one label per individual. ``observed`` is the panel's own
-    assignment, encoded. Use `group_index` to get the panel's cached copy.
+    The ties are (src, dst) index arrays into the study's individuals, with
+    the skeleton's connected components as one label per individual. Use
+    `group_index` to get the panel's cached copy.
     """
 
     def __init__(self, panel: StudyPanel, layer: str, variant_flags: Sequence[str] = ()):
-        self.individuals = tuple(sorted(panel.individuals))
-        self.villages = panel.villages
-        position = {ind: k for k, ind in enumerate(self.individuals)}
-        village_pos = {v: k for k, v in enumerate(self.villages)}
-        self.village = np.array([village_pos[panel.individuals[i].village_id]
-                                 for i in self.individuals], dtype=np.intp)
-        src, dst = [], []
-        for v in self.villages:
-            net = panel.network(v, 1, layer, variant_flags)
-            where = np.fromiter(map(position.__getitem__, net.nodes), dtype=np.intp, count=net.n)
-            src.append(where[net.src])
-            dst.append(where[net.dst])
-        src, dst = np.concatenate(src), np.concatenate(dst)
-        self.src = np.concatenate([src, dst])
-        self.dst = np.concatenate([dst, src])
-        self.component = _components(len(self.individuals), self.src, self.dst)
-        self.observed = self.encode(observed_assignment(panel))
-
-    def encode(self, assignment: Assignment) -> tuple[np.ndarray, np.ndarray]:
-        """An assignment as (dosage per village, treated flag per individual)."""
-        return (np.array([assignment.village_dosages[v] for v in self.villages], dtype=float),
-                np.array([i in assignment.treated for i in self.individuals], dtype=bool))
-
-    def in_scope(self, dosages: np.ndarray, scope: str) -> np.ndarray:
-        """Members of the treated-side villages a dosage scope selects."""
-        if scope == "all":
-            villages = dosages != 0.0
-        elif scope in ("low", "high"):
-            villages = np.isin(dosages, tuple(LOW_DOSAGES if scope == "low" else HIGH_DOSAGES))
-        else:
-            raise EffectError(f"unknown dosage scope {scope}")
-        return villages[self.village]
+        study = panel.index
+        nets = [panel.network(v, 1, layer, variant_flags) for v in study.villages]
+        self.src = np.concatenate([rows[net.src] for rows, net in zip(study.members, nets)])
+        self.dst = np.concatenate([rows[net.dst] for rows, net in zip(study.members, nets)])
+        self.component = _components(len(study.individuals), self.src, self.dst)
 
     def exposure(self, treated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(has a treated wave-1 neighbor, shares a skeleton component with a treated node)."""
-        n = treated.size
-        exposed = np.bincount(self.src, weights=treated[self.dst], minlength=n) > 0
-        reachable = np.bincount(self.component, weights=treated, minlength=n) > 0
-        return exposed, reachable[self.component]
+        reachable = np.bincount(self.component, weights=treated, minlength=treated.size) > 0
+        return has_treated_neighbor(self.src, self.dst, treated), reachable[self.component]
+
+
+def _in_scope(study: StudyIndex, dosages: np.ndarray, scope: str) -> np.ndarray:
+    """Members of the treated-side villages a dosage scope selects."""
+    if scope == "all":
+        villages = dosages != 0.0
+    elif scope in ("low", "high"):
+        villages = np.isin(dosages, tuple(LOW_DOSAGES if scope == "low" else HIGH_DOSAGES))
+    else:
+        raise EffectError(f"unknown dosage scope {scope}")
+    return villages[study.village]
 
 
 def group_index(panel: StudyPanel, layer: str, variant_flags: Sequence[str] = ()) -> GroupIndex:
@@ -213,9 +180,8 @@ class ContrastKernel:
         layer, variants = self.specs[0].layer, self.specs[0].variant_flags
         if any((s.layer, s.variant_flags) != (layer, variants) for s in self.specs):
             raise EffectError("a contrast kernel needs specs of one layer and variant")
+        self.study = panel.index
         self.index = group_index(panel, layer, variants)
-        self.individuals = self.index.individuals
-        self.observed = self.index.observed
         keys: dict[tuple[str, str], int] = {}
         self.focal = np.array([keys.setdefault((_FOCAL_GROUP.get(s.kind, s.kind), s.dosage_scope),
                                                len(keys)) for s in self.specs])
@@ -241,19 +207,19 @@ class ContrastKernel:
 
     def _values(self, table: MetricTable) -> np.ndarray:
         """X = [V1 | V3 | defined1 | defined3], one column per metric in each block."""
-        rows = [table.index[i] for i in self.individuals]
+        rows = [table.index[i] for i in self.study.individuals]
         v = np.column_stack([table.column(w, m)[rows] for w in WAVES for m in self.metrics])
         defined = ~np.isnan(v)
         return np.hstack([np.where(defined, v, 0.0), defined])
 
     def masks(self, dosages: np.ndarray, treated: np.ndarray) -> np.ndarray:
         """Boolean (groups, individuals) rows of one draw, in ``keys`` order."""
-        index = self.index
         untreated = ~treated
-        control = (dosages == 0.0)[index.village]
+        control = (dosages == 0.0)[self.study.village]
         if any(g.startswith("spillover_") for g, _ in self.keys):
-            exposed, reachable = index.exposure(treated)
-        scoped = {scope: index.in_scope(dosages, scope) for scope in {s for _, s in self.keys}}
+            exposed, reachable = self.index.exposure(treated)
+        scoped = {scope: _in_scope(self.study, dosages, scope)
+                  for scope in {s for _, s in self.keys}}
         rows = np.empty((len(self.keys), treated.size), dtype=bool)
         for g, (group, scope) in enumerate(self.keys):
             members = scoped[scope]
@@ -279,7 +245,7 @@ class ContrastKernel:
         label = self.specs[k].label()
         if not (dosages == 0.0).any():
             return f"no control villages available for {label}"
-        if not self.index.in_scope(dosages, self.specs[k].dosage_scope).any():
+        if not _in_scope(self.study, dosages, self.specs[k].dosage_scope).any():
             return f"no treated villages in scope for {label}"
         if n_focal == 0:
             return f"empty focal group for {label}"
@@ -370,14 +336,14 @@ def classify_groups(panel: StudyPanel, spec: ContrastSpec,
     wave-1 exposure classification (`classify_spillover_order`).
     """
     kernel = ContrastKernel(panel, [spec])
-    dosages, treated = (kernel.observed if assignment is None
-                        else kernel.index.encode(assignment))
+    study = panel.index
+    dosages, treated = study.observed if assignment is None else study.encode(assignment)
     rows = kernel.masks(dosages, treated)
     focal, comparison = rows[kernel.focal[0]], rows[kernel.comparison[0]]
     error = kernel.group_error(0, dosages, focal.sum(), comparison.sum())
     if error:
         raise EffectError(error)
-    ids = np.array(kernel.individuals, dtype=object)
+    ids = np.array(study.individuals, dtype=object)
     return tuple(ids[focal]), tuple(ids[comparison])
 
 
@@ -401,18 +367,18 @@ def classify_spillover_order(
     """
     if mode not in HIGHER_ORDER_MODES:
         raise EffectError(f"unknown higher-order mode {mode}")
-    index = group_index(panel, layer, variant_flags)
-    dosages, treated = index.observed if assignment is None else index.encode(assignment)
-    exposed, reachable = index.exposure(treated)
+    study = panel.index
+    dosages, treated = study.observed if assignment is None else study.encode(assignment)
+    exposed, reachable = group_index(panel, layer, variant_flags).exposure(treated)
     if mode == "distance_only" and include_unreachable:
         reachable = np.ones_like(reachable)
-    members = index.in_scope(dosages, scope) & ~treated
+    members = _in_scope(study, dosages, scope) & ~treated
     labels = np.where(exposed, "first_order", np.where(reachable, "higher_order", "neither"))
     unreachable = int((members & ~exposed & ~reachable).sum())
     if unreachable:
         log.debug("spillover-order classification: %d untreated nodes with no path "
                   "to a treated node labelled 'neither'", unreachable)
-    return {index.individuals[i]: str(labels[i]) for i in np.flatnonzero(members)}
+    return {study.individuals[i]: str(labels[i]) for i in np.flatnonzero(members)}
 
 
 def group_change(table: MetricTable, metric: str, ids: Sequence[str]) -> tuple[float, float, int]:
@@ -456,7 +422,7 @@ def evaluate_contrast(
 ) -> EffectEstimate:
     """Point estimate (no p-value) for one contrast under one assignment."""
     kernel = ContrastKernel(panel, [spec], table)
-    draw = kernel.observed if assignment is None else kernel.index.encode(assignment)
+    draw = panel.index.observed if assignment is None else panel.index.encode(assignment)
     return kernel.estimates(*draw, scaling)[0]
 
 
@@ -483,13 +449,11 @@ def effect_suite(
     (layer, variant) is compiled into one `ContrastKernel`.
     """
     from . import randomization  # late import: randomization builds on this module
-    from .metrics import metric_table as build_table
 
-    requested = tuple(m for m in metrics if m in METRICS)
     estimates: list[EffectEstimate] = []
     for layer in layers:
         for variant in variants:
-            table = build_table(panel, layer, variant, requested)
+            table = metric_table(panel, layer, variant, metrics)
             wanted = [m for m in metrics if m in table.metrics]
             specs = enumerate_specs([layer], wanted, scopes, kinds, [tuple(variant)],
                                     higher_order_mode)
@@ -502,5 +466,5 @@ def effect_suite(
                 ))
             else:
                 kernel = ContrastKernel(panel, specs, table)
-                estimates.extend(kernel.estimates(*kernel.observed, scaling))
+                estimates.extend(kernel.estimates(*panel.index.observed, scaling))
     return estimates

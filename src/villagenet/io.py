@@ -66,8 +66,18 @@ def _read_lines(path: str | Path) -> tuple[np.ndarray, list[str]]:
     The file is read in one piece, with universal newlines; a UTF-8
     byte-order mark is dropped.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        # decode the file again whole: a text-mode read reports a position within one chunk
+        data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = len((data[:exc.start] + b"x").splitlines())   # as universal newlines count
+            raise IngestionError(f"{path}: line {lineno}: byte 0x{data[exc.start]:02x} "
+                                 f"is not valid UTF-8") from None
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()

@@ -172,9 +172,8 @@ def metric_table(panel: StudyPanel, layer: str, variant_flags: Sequence[str] = (
     if unknown:
         raise ValueError(f"unknown metric {unknown[0]}")
     variants = tuple(sorted(set(variant_flags)))
-    individuals = tuple(sorted(panel.individuals))
-    villages = tuple(panel.individuals[i].village_id for i in individuals)
-    index = {ind: i for i, ind in enumerate(individuals)}
+    index = panel.index
+    villages = tuple(index.villages[k] for k in index.village.tolist())
     probe = panel.network(panel.villages[0], 1, layer, variants)
     directed = probe.directed
     wanted = tuple(m for m in METRICS if m in metrics
@@ -185,12 +184,11 @@ def metric_table(panel: StudyPanel, layer: str, variant_flags: Sequence[str] = (
     degree_columns = tuple((k, m) for k, m in enumerate(("degree", "in_degree", "out_degree"))
                            if m in wanted)
 
-    values = {(w, m): np.full(len(individuals), np.nan) for w in WAVES for m in wanted}
+    values = {(w, m): np.full(len(index.individuals), np.nan) for w in WAVES for m in wanted}
     flags: list[str] = []
-    for village in panel.villages:
+    for village, rows in zip(index.villages, index.members):
         for wave in WAVES:
             net = panel.network(village, wave, layer, variants)
-            rows = [index[node] for node in net.nodes]
             if degree_columns:
                 deg = degree_metrics(net)
                 for k, m in degree_columns:
@@ -201,4 +199,4 @@ def metric_table(panel: StudyPanel, layer: str, variant_flags: Sequence[str] = (
                                            for v in net.nodes]
             if net.n < 3 and "betweenness" in wanted:
                 flags.append(f"{village}/wave{wave}: n={net.n} < 3, betweenness 0 by convention")
-    return MetricTable(layer, variants, directed, individuals, villages, values, flags)
+    return MetricTable(layer, variants, directed, index.individuals, villages, values, flags)

@@ -8,8 +8,9 @@ stream derived from (master_seed, draw_index), so results are identical no
 matter how draws are split across worker processes.
 
 The design is compiled once into index arrays (`DesignIndex`): the observed
-dosage per village, each village's households as a slice of one global
-household order, and each individual's household index. A draw
+dosage per village and each village's households as a slice of one global
+household order. Each individual's household index in that order comes from
+the panel's study-wide index (`core.StudyIndex.household`). A draw
 (`permute_assignment`, the only draw path) writes a dosage per village and a
 treated flag per household directly, with the same RNG calls in the same
 order as always: one ``permutation`` per block group (blocks sorted), then
@@ -55,7 +56,8 @@ class DesignIndex:
     """A treatment design compiled to index arrays for drawing assignments.
 
     Villages follow the design's (sorted) order; households are numbered
-    village by village, in sorted order within each village.
+    village by village, in sorted order within each village, as in
+    `core.StudyIndex.household`.
     """
 
     def __init__(self, design: TreatmentDesign, blocks: Mapping[str, str] | None = None):
@@ -72,15 +74,6 @@ class DesignIndex:
                 raise RandomizationError(f"villages without a block label: {missing}")
             self.groups = [np.array([k for k, v in enumerate(self.villages) if blocks[v] == b])
                            for b in sorted(set(blocks[v] for v in self.villages))]
-
-    def household_of(self, panel: StudyPanel, individuals: Sequence[str]) -> np.ndarray:
-        """Global household index of each individual."""
-        position = {(v, h): self.offsets[k] + j
-                    for k, (v, hs) in enumerate(zip(self.villages, self.households))
-                    for j, h in enumerate(hs)}
-        return np.array([position[(panel.individuals[i].village_id,
-                                   panel.individuals[i].household_id)] for i in individuals],
-                        dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,10 +153,6 @@ class PermutationResult:
     permutations: int
     skipped: int = 0
 
-    @property
-    def two_sided(self) -> bool:
-        return self.sided == "two"
-
 
 def _null_chunk(kernel: ContrastKernel, design: DesignIndex, household: np.ndarray,
                 master_seed: int, scaling: str, start: int, stop: int) -> np.ndarray:
@@ -192,8 +181,7 @@ def null_statistics(
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
     design = DesignIndex(panel.design, blocks)
-    chunk = partial(_null_chunk, kernel, design, design.household_of(panel, kernel.individuals),
-                    master_seed, scaling)
+    chunk = partial(_null_chunk, kernel, design, panel.index.household, master_seed, scaling)
     if threads <= 1 or permutations < 2 * threads:
         return chunk(0, permutations)
     bounds = np.linspace(0, permutations, threads + 1).astype(int).tolist()
@@ -232,7 +220,7 @@ def permutation_suite(
     if not specs:
         return []
     kernel = ContrastKernel(panel, specs, table)
-    observed = kernel.estimates(*kernel.observed, scaling)
+    observed = kernel.estimates(*panel.index.observed, scaling)
     stats = null_statistics(panel, kernel, permutations, master_seed, scaling, threads, blocks)
     results = []
     for est, draws in zip(observed, stats):
@@ -259,7 +247,7 @@ def permutation_pvalue(
         from .metrics import metric_table
         table = metric_table(panel, spec.layer, spec.variant_flags, (spec.metric,))
     kernel = ContrastKernel(panel, [spec], table)
-    (observed,) = kernel.estimates(*kernel.observed, scaling)
+    (observed,) = kernel.estimates(*panel.index.observed, scaling)
     stats = null_statistics(panel, kernel, permutations, master_seed, scaling, threads, blocks)
     valid = _valid_draws(stats[0], spec)
     return PermutationResult(

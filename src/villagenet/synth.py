@@ -25,17 +25,14 @@ from .core import (
     TreatmentDesign,
     treated_household_count,
 )
-from .dyadic import FINE_CATEGORIES as FINE_NAMES, refinement_codes
+from .dyadic import COARSE_OF_FINE, FINE_CATEGORIES as FINE_NAMES, refinement_codes
 from .effects import ContrastKernel, effect_suite, enumerate_specs
 from .metrics import MetricTable
 from .networks import LayerNetwork
 
 log = logging.getLogger(__name__)
 
-_FINE_TO_COARSE = {f: ("UoUo" if f == "UoUo" else
-                       ("T" if f[:2] in ("To", "T1") else "U")
-                       + ("T" if f[2:] in ("To", "T1") else "U"))
-                   for f in FINE_NAMES}
+_FINE_TO_COARSE = dict(zip(FINE_NAMES, COARSE_OF_FINE))
 
 DEFAULT_DENSITIES = {"health": 0.020, "friendship": 0.050, "financial": 0.018}
 
@@ -242,7 +239,7 @@ def generate_wave1_state(scenario: SyntheticScenario) -> Wave1State:
             if design.village_dosages[village] == 0.0:
                 fine_code = np.zeros((n, n), dtype=np.int8)
             else:
-                rcode = refinement_codes(a1, treated)
+                rcode = refinement_codes(*np.nonzero(a1), treated)
                 fine_code = (rcode[:, None] * 4 + rcode[None, :] + 1).astype(np.int8)
             keep_prob[(village, layer)] = keep_lookup[fine_code]
             form_prob[(village, layer)] = form_lookup[fine_code]
@@ -295,20 +292,18 @@ def panel_from_state(state: Wave1State,
     return StudyPanel(dict(state.individuals), state.design, networks)
 
 
-def expected_degree_table(state: Wave1State, layer: str) -> MetricTable:
+def expected_degree_table(state: Wave1State, panel: StudyPanel, layer: str) -> MetricTable:
     """Degree metrics with wave-3 values replaced by exact expectations.
 
     E[wave-3 out-degree of i] = sum_j (A1_ij * p_keep_ij + (1 - A1_ij) *
     p_form_ij); in-degree transposes, total adds. Wave-1 values are realized.
+    Rows follow ``panel.index``; ``panel`` is the state's panel.
     """
-    individuals = tuple(sorted(state.individuals))
-    index = {ind: i for i, ind in enumerate(individuals)}
-    villages = tuple(state.individuals[i].village_id for i in individuals)
-    n = len(individuals)
+    index = panel.index
+    n = len(index.individuals)
     values = {(w, m): np.full(n, np.nan)
               for w in (1, 3) for m in ("degree", "in_degree", "out_degree")}
-    for village in state.villages:
-        mem = state.members[village]
+    for village, rows in zip(index.villages, index.members):
         a1 = state.adjacency_w1[(village, layer)].astype(float)
         np.fill_diagonal(a1, 0.0)
         expected = np.where(state.adjacency_w1[(village, layer)],
@@ -317,16 +312,13 @@ def expected_degree_table(state: Wave1State, layer: str) -> MetricTable:
         np.fill_diagonal(expected, 0.0)
         out1, in1 = a1.sum(axis=1), a1.sum(axis=0)
         out3, in3 = expected.sum(axis=1), expected.sum(axis=0)
-        for k, node in enumerate(mem):
-            i = index[node]
-            values[(1, "out_degree")][i] = out1[k]
-            values[(1, "in_degree")][i] = in1[k]
-            values[(1, "degree")][i] = out1[k] + in1[k]
-            values[(3, "out_degree")][i] = out3[k]
-            values[(3, "in_degree")][i] = in3[k]
-            values[(3, "degree")][i] = out3[k] + in3[k]
+        for wave, out, into in ((1, out1, in1), (3, out3, in3)):
+            values[(wave, "out_degree")][rows] = out
+            values[(wave, "in_degree")][rows] = into
+            values[(wave, "degree")][rows] = out + into
+    villages = tuple(index.villages[k] for k in index.village.tolist())
     return MetricTable(layer=layer, variants=(), directed=True,
-                       individuals=individuals, villages=villages, values=values)
+                       individuals=index.individuals, villages=villages, values=values)
 
 
 def compute_oracle(state: Wave1State,
@@ -354,8 +346,8 @@ def compute_oracle(state: Wave1State,
         specs = enumerate_specs([layer], ["degree", "in_degree", "out_degree"], scopes, kinds)
         if not specs:
             continue
-        kernel = ContrastKernel(panel, specs, expected_degree_table(state, layer))
-        pct = kernel.evaluate(*kernel.observed).pct
+        kernel = ContrastKernel(panel, specs, expected_degree_table(state, panel, layer))
+        pct = kernel.evaluate(*panel.index.observed).pct
         expected_pct.update((spec.label(), float(p)) for spec, p in zip(specs, pct)
                             if not math.isnan(p))   # undefined contrasts have no oracle
     return OracleTruth(dissolution, formation, expected_pct)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from villagenet.core import StudyPanel, TreatmentDesign, treated_household_count
+from villagenet.core import StudyPanel, TreatmentDesign, dosage_group, treated_household_count
 from villagenet.effects import (
+    DOSAGE_SCOPES,
     SCALINGS,
     Assignment,
     ContrastSpec,
@@ -26,6 +27,24 @@ from villagenet.metrics import MetricTable
 from villagenet.randomization import derive_stream
 
 from network_oracle import bfs_distances, undirected_neighbors
+
+
+def scope_villages(asg: Assignment, scope: str) -> tuple[str, ...]:
+    """Treated-side villages selected by a dosage scope."""
+    if scope not in DOSAGE_SCOPES:
+        raise EffectError(f"unknown dosage scope {scope}")
+    out = []
+    for v in sorted(asg.village_dosages):
+        alpha = asg.village_dosages[v]
+        if alpha == 0.0:
+            continue
+        if scope == "all" or dosage_group(alpha) == scope:
+            out.append(v)
+    return tuple(out)
+
+
+def control_villages(asg: Assignment) -> tuple[str, ...]:
+    return tuple(v for v in sorted(asg.village_dosages) if asg.village_dosages[v] == 0.0)
 
 
 def did_statistic(table: MetricTable, metric: str, focal, comparison, control_reference,
@@ -104,7 +123,7 @@ def classify_spillover_order(panel: StudyPanel, layer: str, asg: Assignment,
                              variant_flags=(), scope: str = "all", mode: str = "exclusive",
                              include_unreachable: bool = False) -> dict[str, str]:
     labels: dict[str, str] = {}
-    for village in asg.scope_villages(scope):
+    for village in scope_villages(asg, scope):
         net = panel.network(village, 1, layer, variant_flags)
         treated_here = [i for i in net.nodes if i in asg.treated]
         dist = bfs_distances(undirected_neighbors(net), treated_here)
@@ -124,16 +143,16 @@ def classify_spillover_order(panel: StudyPanel, layer: str, asg: Assignment,
 
 
 def classify_groups(panel: StudyPanel, spec: ContrastSpec, asg: Assignment):
-    scope_villages = asg.scope_villages(spec.dosage_scope)
-    controls = asg.control_villages()
+    in_scope = scope_villages(asg, spec.dosage_scope)
+    controls = control_villages(asg)
     if not controls:
         raise EffectError(f"no control villages available for {spec.label()}")
-    if not scope_villages:
+    if not in_scope:
         raise EffectError(f"no treated villages in scope for {spec.label()}")
     control_untreated = tuple(
         i for v in controls for i in panel.members(v) if i not in asg.treated
     )
-    scope_members = tuple(i for v in scope_villages for i in panel.members(v))
+    scope_members = tuple(i for v in in_scope for i in panel.members(v))
     if spec.kind == "overall":
         focal, comparison = scope_members, control_untreated
     elif spec.kind == "total":
@@ -163,7 +182,7 @@ def evaluate(panel: StudyPanel, table: MetricTable, spec: ContrastSpec,
     """(raw, pct, n_focal, n_comparison); EffectError when undefined."""
     asg = asg if asg is not None else observed_assignment(panel)
     focal, comparison = classify_groups(panel, spec, asg)
-    control = tuple(i for v in asg.control_villages() for i in panel.members(v))
+    control = tuple(i for v in control_villages(asg) for i in panel.members(v))
     raw, pct = did_statistic(table, spec.metric, focal, comparison, control, scaling)
     return raw, pct, len(focal), len(comparison)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from villagenet.cli import main
+from villagenet.cli import CHOICES, COMMAND_OPTIONS, main
 
 SCENARIO = {
     "seed": 77,
@@ -69,6 +69,15 @@ class TestIngest:
         assert code == 2
         err = capsys.readouterr().err
         assert "ghost" in err and "line 2" in err
+
+    def test_non_utf8_roster_exit_2_with_line(self, sim, tmp_path, capsys):
+        roster = tmp_path / "roster.csv"
+        roster.write_bytes((sim["sim"] / "roster.csv").read_bytes().replace(b"\n", b"\xff\n", 3))
+        code = main(["ingest", "--roster", str(roster), "--edges", str(sim["sim"] / "edges.csv"),
+                     "--layer-map", str(sim["sim"] / "layer_map.csv"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "roster.csv: line 1: byte 0xff is not valid UTF-8" in capsys.readouterr().err
 
     def test_mover_in_exclusion_report(self, tmp_path):
         roster = tmp_path / "roster.csv"
@@ -223,6 +232,17 @@ class TestSubcommands:
                      "--out", str(sim["root"] / f"badlayer_{command}")])
         assert code == 2
         assert f"{option}: unknown value 'gossip'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", sorted(CHOICES))
+    def test_unknown_choice_exit_2(self, sim, option, capsys):
+        command = next(c for c in ("effects", "permtest", "dyadic", "wasserstein",
+                                   "doseresponse", "metrics") if option in COMMAND_OPTIONS[c])
+        flag = "--" + option.replace("_", "-")
+        code = main([command, "--panel", str(sim["sim"] / "panel.json"),
+                     flag, "none;residual+nope" if option == "variants" else "nope",
+                     "--out", str(sim["root"] / f"badchoice_{option}")])
+        assert code == 2
+        assert f"{flag}: unknown value 'nope'" in capsys.readouterr().err
 
     def test_unknown_scheme_exit_2(self, sim, capsys):
         code = main(["dyadic", "--panel", str(sim["sim"] / "panel.json"),

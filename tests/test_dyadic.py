@@ -450,7 +450,8 @@ class TestCountsAgainstOracle:
         asg = observed_assignment(panel)
         for v in panel.villages:
             treated = np.array([m in asg.treated for m in panel.members(v)], dtype=bool)
-            codes = refinement_codes(panel.network(v, 1, layer).adjacency, treated)
+            codes = refinement_codes(panel.network(v, 1, layer).src,
+                                     panel.network(v, 1, layer).dst, treated)
             assert [REFINEMENT_LABELS[c] for c in codes] == [
                 labels[m] for m in panel.members(v)]
 

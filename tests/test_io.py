@@ -73,6 +73,17 @@ class TestRoster:
         with pytest.raises(IngestionError, match="line 2"):
             vio.read_roster(p)
 
+    @pytest.mark.parametrize("bom,newline", [(b"", b"\n"), (b"\xef\xbb\xbf", b"\r\n")])
+    def test_non_utf8_byte_cites_file_and_line(self, tmp_path, bom, newline):
+        # the bad byte lies far past the first chunk a text-mode read decodes
+        lines = [b"individual_id,household_id,village_id,treated,wave1_present,wave3_present"]
+        lines += [b"i%05d,h%05d,v1,0,1,1" % (k, k) for k in range(3000)]
+        lines[2500] = b"i\xff,h\xff,v1,0,1,1"
+        p = tmp_path / "r.csv"
+        p.write_bytes(bom + newline.join(lines) + newline)
+        with pytest.raises(IngestionError, match="r.csv: line 2501: byte 0xff is not valid UTF-8"):
+            vio.read_roster(p)
+
     def test_field_count_mismatch_cites_line(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("individual_id,household_id,village_id,treated,"
