@@ -6,6 +6,11 @@ subcommand with ``--config <manifest.json>`` reproduces the outputs byte for
 byte; ``--out`` and ``--threads`` are runtime details kept out of the manifest
 so they never change results.
 
+Importing this module loads only ``core``, ``io`` and ``networks`` from the
+package: parsing and validation need nothing more, since the enumerations the
+options are checked against live in ``core``. Each ``run_*`` imports the
+analysis modules it calls, so a command starts without loading the others.
+
 Exit codes: 0 success, 1 runtime failure, 2 input validation failure.
 """
 
@@ -21,35 +26,20 @@ from . import __version__
 from . import io as vio
 from .core import (
     ALL_LAYERS,
-    VARIANT_FLAGS,
-    IngestionError,
-    apply_inclusion_criteria,
-    build_panel,
-    DEFAULT_LAYER_SPECS,
-)
-from .dyadic import (
-    OUTCOMES,
-    SCHEMES,
-    dyad_dataset,
-    dyad_rows,
-    estimand_correspondence,
-    fit_logistic_irls,
-)
-from .effects import (
     CONTRAST_KINDS,
+    DIRECTED_ONLY_METRICS,
     DOSAGE_SCOPES,
     HIGHER_ORDER_MODES,
+    METRICS,
+    OUTCOMES,
     SCALINGS,
-    ContrastSpec,
-    EffectError,
-    effect_suite,
-    group_change,
+    SCHEMES,
+    SIDES,
+    VARIANT_FLAGS,
+    IngestionError,
+    ScenarioError,
 )
-from .metrics import METRICS, degree_metrics, metric_table
 from .networks import NetworkError
-from .randomization import SIDES, permutation_pvalue
-from .stats import StatsError, loess_fit, wasserstein1, welch_ttest
-from .synth import ScenarioError, SyntheticScenario, generate_panel, replicate_study
 
 log = logging.getLogger("villagenet")
 
@@ -206,7 +196,17 @@ def _finish(command: str, config: dict, outdir: Path) -> None:
                        outdir / "manifest.json", __version__)
 
 
+def _require_directed(panel, layer: str, option: str, value: str) -> None:
+    """Reject a directed-only metric (in/out-degree) on an undirected layer."""
+    if (value in DIRECTED_ONLY_METRICS and panel.villages
+            and not panel.network(panel.villages[0], 1, layer).directed):
+        raise IngestionError(f"--{option.replace('_', '-')}: {value} is undefined on "
+                             f"undirected layer {layer}")
+
+
 def run_ingest(config: dict, outdir: Path) -> None:
+    from .core import apply_inclusion_criteria, build_panel
+
     roster = vio.read_roster(config["roster"])
     responses = vio.read_edges(config["edges"])
     layer_specs = vio.read_layer_map(config["layer_map"])
@@ -220,6 +220,8 @@ def run_ingest(config: dict, outdir: Path) -> None:
 
 
 def run_metrics(config: dict, outdir: Path) -> None:
+    from .metrics import metric_table
+
     panel = vio.read_panel(config["panel"])
     variants = _parse_variants(str(config["variants"]))[0]
     table = metric_table(panel, config["layer"], variants)
@@ -229,6 +231,8 @@ def run_metrics(config: dict, outdir: Path) -> None:
 
 
 def run_effects(config: dict, outdir: Path) -> None:
+    from .effects import effect_suite
+
     panel = vio.read_panel(config["panel"])
     layers = _parse_list(str(config["layers"]))
     metrics = _parse_list(str(config["metrics"]))
@@ -271,7 +275,11 @@ def _plot_rows(estimates) -> list[dict]:
 
 
 def run_permtest(config: dict, outdir: Path) -> None:
+    from .effects import ContrastSpec
+    from .randomization import permutation_pvalue
+
     panel = vio.read_panel(config["panel"])
+    _require_directed(panel, str(config["layer"]), "metric", str(config["metric"]))
     spec = ContrastSpec(
         kind=str(config["kind"]),
         dosage_scope=str(config["scope"]),
@@ -295,6 +303,8 @@ def run_permtest(config: dict, outdir: Path) -> None:
 
 
 def run_dyadic(config: dict, outdir: Path) -> None:
+    from .dyadic import dyad_dataset, dyad_rows, estimand_correspondence, fit_logistic_irls
+
     panel = vio.read_panel(config["panel"])
     layer = str(config["layer"])
     schemes = _parse_list(str(config["schemes"]))
@@ -319,9 +329,12 @@ def run_dyadic(config: dict, outdir: Path) -> None:
 
 
 def run_wasserstein(config: dict, outdir: Path) -> None:
+    from .stats import StatsError, wasserstein1, welch_ttest
+
     panel = vio.read_panel(config["panel"])
     layer = str(config["layer"])
     kind = str(config["degree_kind"])
+    _require_directed(panel, layer, "degree_kind", kind)
     normalize = bool(int(config["normalize"]))
     rows = []
     by_group: dict[str, list[float]] = {"control": [], "low": [], "high": []}
@@ -350,18 +363,22 @@ def run_wasserstein(config: dict, outdir: Path) -> None:
 
 
 def _degree_sample(net, kind: str) -> list[float]:
+    from .metrics import degree_metrics
+
     deg = degree_metrics(net)
     index = DEGREE_KINDS.index(kind)
-    values = [deg[v][index] for v in net.nodes]
-    if any(v is None for v in values):
-        raise EffectError(f"{kind} undefined on undirected layer {net.layer}")
-    return [float(v) for v in values]
+    return [float(deg[v][index]) for v in net.nodes]
 
 
 def run_doseresponse(config: dict, outdir: Path) -> None:
+    from .effects import EffectError, group_change
+    from .metrics import metric_table
+    from .stats import loess_fit
+
     panel = vio.read_panel(config["panel"])
     layer = str(config["layer"])
     metric = str(config["metric"])
+    _require_directed(panel, layer, "metric", metric)
     group = str(config["group"])
     table = metric_table(panel, layer, metrics=(metric,))
     index = panel.index
@@ -384,6 +401,9 @@ def run_doseresponse(config: dict, outdir: Path) -> None:
 
 
 def run_simulate(config: dict, outdir: Path) -> None:
+    from .core import DEFAULT_LAYER_SPECS
+    from .synth import SyntheticScenario, generate_panel
+
     scenario = SyntheticScenario.from_dict(vio.read_json(str(config["scenario"])))
     panel, oracle = generate_panel(scenario, scopes=("all", "low", "high"))
     vio.write_panel(panel, outdir / "panel.json")
@@ -396,6 +416,8 @@ def run_simulate(config: dict, outdir: Path) -> None:
 
 
 def run_replicate(config: dict, outdir: Path) -> None:
+    from .synth import SyntheticScenario, replicate_study
+
     scenario = SyntheticScenario.from_dict(vio.read_json(str(config["scenario"])))
     report = replicate_study(
         scenario,

@@ -35,9 +35,26 @@ ALLOWED_DOSAGES = (0.0, 0.05, 0.10, 0.20, 0.30, 0.50, 0.75, 1.0)
 LOW_DOSAGES = frozenset((0.05, 0.10, 0.20, 0.30))
 HIGH_DOSAGES = frozenset((0.50, 0.75, 1.0))
 
+# The analyses' enumerations, kept here (one copy each) so that the CLI can
+# validate options without importing the analysis modules.
+METRICS = ("degree", "in_degree", "out_degree", "betweenness", "closeness", "clustering")
+DIRECTED_ONLY_METRICS = ("in_degree", "out_degree")
+CONTRAST_KINDS = ("overall", "total", "spillover", "direct",
+                  "spillover_first_order", "spillover_higher_order")
+DOSAGE_SCOPES = ("all", "low", "high")
+HIGHER_ORDER_MODES = ("exclusive", "distance_only")
+SCALINGS = ("control_w1", "control_w3")
+SIDES = ("two", "left", "right")
+OUTCOMES = ("dissolution", "formation", "wave3_link")
+SCHEMES = ("coarse", "fine")
+
 
 class IngestionError(ValueError):
     """Invalid input data; message carries the offending id or line number."""
+
+
+class ScenarioError(ValueError):
+    """Invalid synthetic scenario configuration."""
 
 
 def dosage_group(alpha: float) -> str:

@@ -24,15 +24,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import StudyPanel, has_treated_neighbor
+from .core import OUTCOMES, SCHEMES, StudyPanel, has_treated_neighbor
 
 log = logging.getLogger(__name__)
 
 COARSE_CATEGORIES = ("UoUo", "UU", "UT", "TU", "TT")
 REFINEMENT_LABELS = ("Uh", "U1", "To", "T1")
 FINE_CATEGORIES = ("UoUo",) + tuple(a + b for a in REFINEMENT_LABELS for b in REFINEMENT_LABELS)
-OUTCOMES = ("dissolution", "formation", "wave3_link")
-SCHEMES = ("coarse", "fine")
 SAMPLES = ("existing_w1", "nonexisting_w1", "all")
 
 # Fine code 1 + 4*r_ego + r_alter -> coarse code 1 + 2*treated_ego + treated_alter;

@@ -32,16 +32,21 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import HIGH_DOSAGES, LOW_DOSAGES, WAVES, StudyIndex, StudyPanel, has_treated_neighbor
+from .core import (
+    CONTRAST_KINDS,
+    DOSAGE_SCOPES,
+    HIGH_DOSAGES,
+    HIGHER_ORDER_MODES,
+    LOW_DOSAGES,
+    SCALINGS,
+    WAVES,
+    StudyIndex,
+    StudyPanel,
+    has_treated_neighbor,
+)
 from .metrics import MetricTable, metric_table
 
 log = logging.getLogger(__name__)
-
-CONTRAST_KINDS = ("overall", "total", "spillover", "direct",
-                  "spillover_first_order", "spillover_higher_order")
-DOSAGE_SCOPES = ("all", "low", "high")
-HIGHER_ORDER_MODES = ("exclusive", "distance_only")
-SCALINGS = ("control_w1", "control_w3")
 
 
 class EffectError(ValueError):

@@ -495,16 +495,14 @@ def write_exclusion_report(report: ExclusionReport, path: str | Path) -> None:
 
 
 def write_metric_table(table, path: str | Path) -> None:
+    metrics = table.metrics
+    heads = [f"{ind},{village}," for ind, village in zip(table.individuals, table.villages)]
     lines = []
-    for k, ind in enumerate(table.individuals):
-        village = table.villages[k]
-        for wave in (1, 3):
-            for metric in table.metrics:
-                value = table.values[(wave, metric)][k]
-                lines.append(
-                    f"{ind},{village},{wave},{table.layer},{metric},"
-                    f"{fmt_value(float(value))}"
-                )
+    for wave in (1, 3):
+        for metric in metrics:
+            tail = f",{table.layer},{metric},"
+            lines += [f"{head}{wave}{tail}{fmt_value(value)}"
+                      for head, value in zip(heads, table.values[(wave, metric)].tolist())]
     _write_lines(path, "metrics",
                  "individual_id,village_id,wave,layer,metric,value", sorted(lines))
 

@@ -23,13 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import StudyPanel, WAVES
+from .core import DIRECTED_ONLY_METRICS, METRICS, WAVES, StudyPanel
 from .networks import LayerNetwork
 
 log = logging.getLogger(__name__)
-
-METRICS = ("degree", "in_degree", "out_degree", "betweenness", "closeness", "clustering")
-DIRECTED_ONLY_METRICS = ("in_degree", "out_degree")
 
 
 def degree_metrics(network: LayerNetwork) -> dict[str, tuple[float, float | None, float | None]]:

@@ -24,21 +24,18 @@ mask product; the observed statistic goes through the same kernel, so
 from __future__ import annotations
 
 import logging
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import StudyPanel, TreatmentDesign, treated_household_count
+from .core import SIDES, StudyPanel, TreatmentDesign, treated_household_count
 from .effects import ContrastKernel, ContrastSpec, EffectEstimate
 from .metrics import MetricTable
 
 log = logging.getLogger(__name__)
 
-SIDES = ("two", "left", "right")
 MAX_SKIP_FRACTION = 0.10
 
 
@@ -184,6 +181,9 @@ def null_statistics(
     chunk = partial(_null_chunk, kernel, design, panel.index.household, master_seed, scaling)
     if threads <= 1 or permutations < 2 * threads:
         return chunk(0, permutations)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = np.linspace(0, permutations, threads + 1).astype(int).tolist()
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:

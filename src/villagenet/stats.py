@@ -1,8 +1,9 @@
 """Distribution distances, Welch tests, and local-regression smoothing.
 
 The one-dimensional Wasserstein distance integrates |F_a^{-1} - F_b^{-1}|
-exactly over the merged quantile grid using rational segment widths, so
-unequal sample sizes introduce no discretization error. Student-t tail
+exactly over the merged quantile grid, with breakpoints kept as integers on
+the common denominator n*m, so unequal sample sizes introduce no
+discretization error. Student-t tail
 probabilities come from a regularized incomplete-beta continued fraction
 (~1e-10 accurate) so p-values do not depend on an external library.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -29,21 +29,24 @@ def wasserstein1(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
 
     Computed as the L1 distance between empirical quantile functions: both
     quantile functions are step functions with breakpoints at i/n and j/m;
-    we sum |a - b| * width over the common refinement of those grids.
+    we sum |a - b| * width over the common refinement of those grids. The
+    breakpoints are the integers i*m and j*n over the denominator n*m, and
+    each width is one correctly rounded integer division.
     """
     if len(sample_a) == 0 or len(sample_b) == 0:
         raise StatsError("wasserstein1 requires nonempty samples")
     a = sorted(float(x) for x in sample_a)
     b = sorted(float(x) for x in sample_b)
     n, m = len(a), len(b)
+    nm = n * m
     total = 0.0
-    pos = Fraction(0)
+    pos = 0
     ia = ib = 0
     while ia < n and ib < m:
-        next_a = Fraction(ia + 1, n)
-        next_b = Fraction(ib + 1, m)
+        next_a = (ia + 1) * m
+        next_b = (ib + 1) * n
         cut = min(next_a, next_b)
-        total += abs(a[ia] - b[ib]) * float(cut - pos)
+        total += abs(a[ia] - b[ib]) * ((cut - pos) / nm)
         pos = cut
         if next_a == cut:
             ia += 1

@@ -21,6 +21,7 @@ from .core import (
     ALLOWED_DOSAGES,
     BASE_LAYERS,
     Individual,
+    ScenarioError,
     StudyPanel,
     TreatmentDesign,
     treated_household_count,
@@ -35,10 +36,6 @@ log = logging.getLogger(__name__)
 _FINE_TO_COARSE = dict(zip(FINE_NAMES, COARSE_OF_FINE))
 
 DEFAULT_DENSITIES = {"health": 0.020, "friendship": 0.050, "financial": 0.018}
-
-
-class ScenarioError(ValueError):
-    """Invalid synthetic scenario configuration."""
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import villagenet
 from villagenet.cli import CHOICES, COMMAND_OPTIONS, main
 
 SCENARIO = {
@@ -255,6 +259,52 @@ class TestSubcommands:
                      "--outcomes", "bogus", "--out", str(sim["root"] / "badoutcome")])
         assert code == 2
         assert "--outcomes: unknown value 'bogus'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("permtest", "--metric", "in_degree"),
+        ("doseresponse", "--metric", "out_degree"),
+        ("wasserstein", "--degree-kind", "in_degree"),
+    ])
+    def test_directed_only_metric_on_undirected_layer_exit_2(self, sim, command, option,
+                                                             value, capsys):
+        code = main([command, "--panel", str(sim["sim"] / "panel.json"),
+                     "--layer", "aggregated", option, value,
+                     "--out", str(sim["root"] / f"undirected_{command}")])
+        assert code == 2
+        assert (f"{option}: {value} is undefined on undirected layer aggregated"
+                in capsys.readouterr().err)
+
+
+def _fresh_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    src = str(Path(villagenet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+class TestImports:
+    """Each command loads only the modules it runs, checked in a fresh interpreter."""
+
+    def test_cli_import_loads_no_analysis_module(self):
+        loaded = _fresh_modules("import villagenet.cli")
+        assert {m for m in loaded if m.startswith("villagenet")} == {
+            "villagenet", "villagenet.cli", "villagenet.core", "villagenet.io",
+            "villagenet.networks"}
+        unwanted = {"villagenet.dyadic", "villagenet.effects", "villagenet.randomization",
+                    "villagenet.stats", "villagenet.synth",
+                    "multiprocessing", "concurrent.futures", "fractions"}
+        assert not loaded & unwanted
+
+    def test_metrics_command_loads_metrics_not_effects(self, sim, tmp_path):
+        argv = ["metrics", "--panel", str(sim["sim"] / "panel.json"),
+                "--layer", "health", "--out", str(tmp_path / "out")]
+        loaded = _fresh_modules(f"from villagenet import cli\nassert cli.main({argv!r}) == 0")
+        assert "villagenet.metrics" in loaded
+        assert "villagenet.effects" not in loaded
 
 
 class TestReproducibility:

@@ -1,14 +1,19 @@
 """Re-randomization draws, seed derivation, and p-value mechanics."""
 
 from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
-from villagenet.core import TreatmentDesign
-from villagenet.effects import ContrastSpec
+from villagenet import io as vio
+from villagenet.core import CONTRAST_KINDS, DOSAGE_SCOPES, Individual, StudyPanel, TreatmentDesign
+from villagenet.effects import ContrastSpec, effect_suite
 from villagenet.metrics import metric_table
+from villagenet.networks import LayerNetwork
 from villagenet.randomization import (
     RandomizationError,
     derive_stream,
@@ -17,6 +22,7 @@ from villagenet.randomization import (
     permutation_suite,
     pvalue_from_draws,
 )
+from villagenet.synth import SyntheticScenario, generate_panel
 
 from conftest import make_panel
 
@@ -214,3 +220,89 @@ class TestPermutationPvalue:
         assert 0 < res.skipped <= 30
         assert len(res.null_draws) == 300 - res.skipped
         assert res.p_value >= 1 / (1 + 300)
+
+
+RENAME_SCENARIO = {
+    "seed": 13,
+    "arms": [[0.0, 2], [0.2, 2], [0.75, 2]],
+    "village_size": [12, 18],
+    "household_size": [1, 4],
+    "layers": ["health", "friendship", "financial"],
+    "edge_density": {"health": 0.12, "friendship": 0.15, "financial": 0.10},
+    "p_keep": {"UoUo": 0.6, "TU": 0.4},
+    "p_form": {"UoUo": 0.03, "TT": 0.08},
+}
+# Any id characters but the "|" that joins a network key in the panel archive.
+ID_TEXT = st.text(st.characters(exclude_characters="|", exclude_categories=("Cs",)),
+                  min_size=1, max_size=5)
+
+
+@cache
+def _rename_base() -> StudyPanel:
+    panel, _ = generate_panel(SyntheticScenario.from_dict(RENAME_SCENARIO))
+    return panel
+
+
+def _suite(panel: StudyPanel) -> list:
+    # every kind but the higher-order spillover, whose focal group is empty in
+    # this small panel's high-dosage villages
+    kinds = [k for k in CONTRAST_KINDS if k != "spillover_higher_order"]
+    return effect_suite(panel, ["health", "aggregated"], ["degree", "in_degree", "closeness"],
+                        DOSAGE_SCOPES, kinds, permutations=20, master_seed=3)
+
+
+@cache
+def _base_suite() -> str:
+    return repr(_suite(_rename_base()))
+
+
+def _order_preserving(old_ids, draw) -> dict[str, str]:
+    """Sorted old ids onto as many sorted, distinct new ids drawn by hypothesis."""
+    old = sorted(set(old_ids))
+    new = sorted(draw(st.lists(ID_TEXT, min_size=len(old), max_size=len(old), unique=True)))
+    return dict(zip(old, new))
+
+
+def _renamed(panel: StudyPanel, ind: dict, hh: dict, vil: dict) -> StudyPanel:
+    individuals = {
+        ind[i.id]: Individual(id=ind[i.id], household_id=hh[i.household_id],
+                              village_id=vil[i.village_id], treated=i.treated,
+                              covariates=i.covariates)
+        for i in panel.individuals.values()
+    }
+    design = TreatmentDesign(
+        {vil[v]: a for v, a in panel.design.village_dosages.items()},
+        {vil[v]: {hh[h]: t for h, t in houses.items()}
+         for v, houses in panel.design.assignments.items()})
+    networks = {
+        (vil[v], wave, layer): LayerNetwork(vil[v], wave, layer,
+                                            tuple(ind[n] for n in net.nodes),
+                                            [(ind[a], ind[b]) for a, b in net.edges],
+                                            directed=net.directed)
+        for (v, wave, layer), net in panel.networks.items()
+    }
+    return StudyPanel(individuals, design, networks)
+
+
+class TestRenaming:
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_order_preserving_renaming_keeps_estimates_and_pvalues(self, data, tmp_path_factory):
+        """Renaming individuals, households and villages in sorted order changes nothing.
+
+        The estimates and p-values depend on ids only through their sorted
+        order: every index (individuals, villages, each village's households)
+        is built over sorted ids, and each draw permutes the dosages over the
+        sorted villages and chooses treated households among each village's
+        sorted households, so a renaming that keeps every order gives the same
+        draws, the same groups and the same sums in the same order. The
+        renamed panel goes through the panel archive and back.
+        """
+        panel = _rename_base()
+        people = panel.individuals.values()
+        ind = _order_preserving([i.id for i in people], data.draw)
+        hh = _order_preserving([i.household_id for i in people], data.draw)
+        vil = _order_preserving(panel.villages, data.draw)
+        path = tmp_path_factory.mktemp("renamed") / "panel.json"
+        vio.write_panel(_renamed(panel, ind, hh, vil), path)
+        assert repr(_suite(vio.read_panel(path))) == _base_suite()

@@ -1,7 +1,11 @@
 """Wasserstein distance, Welch test, Student-t evaluation, and LOESS."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from villagenet.stats import (
@@ -21,7 +25,39 @@ def sorted_pair_oracle(a, b):
     return float(np.mean(np.abs(a - b)))
 
 
+def fraction_grid_wasserstein1(sample_a, sample_b):
+    """Oracle: the same quantile-grid sum with each breakpoint an exact Fraction."""
+    a = sorted(float(x) for x in sample_a)
+    b = sorted(float(x) for x in sample_b)
+    n, m = len(a), len(b)
+    total = 0.0
+    pos = Fraction(0)
+    ia = ib = 0
+    while ia < n and ib < m:
+        next_a = Fraction(ia + 1, n)
+        next_b = Fraction(ib + 1, m)
+        cut = min(next_a, next_b)
+        total += abs(a[ia] - b[ib]) * float(cut - pos)
+        pos = cut
+        if next_a == cut:
+            ia += 1
+        if next_b == cut:
+            ib += 1
+    return total
+
+
+SAMPLE = st.lists(st.one_of(st.integers(0, 9).map(float),
+                            st.floats(-1e6, 1e6, allow_nan=False)),
+                  min_size=1, max_size=200)
+
+
 class TestWasserstein:
+    @settings(max_examples=300, deadline=None)
+    @given(a=SAMPLE, b=SAMPLE)
+    def test_matches_fraction_grid_bit_for_bit(self, a, b):
+        # both widths are the correctly rounded quotient of one rational
+        assert wasserstein1(a, b) == fraction_grid_wasserstein1(a, b)
+
     def test_identical_zero(self):
         assert wasserstein1([3, 1, 4], [4, 3, 1]) == 0.0
 
