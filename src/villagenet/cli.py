@@ -29,7 +29,6 @@ from .core import (
     CONTRAST_KINDS,
     DIRECTED_ONLY_METRICS,
     DOSAGE_SCOPES,
-    HIGHER_ORDER_MODES,
     METRICS,
     OUTCOMES,
     SCALINGS,
@@ -75,13 +74,12 @@ COMMAND_OPTIONS: dict[str, dict[str, object]] = {
         "panel": None, "layers": "health", "metrics": "degree,in_degree,out_degree",
         "scopes": "all", "kinds": "overall,total,spillover,direct",
         "variants": "none", "permutations": 0, "blocks": "none",
-        "scaling": "control_w1", "higher_order_mode": "exclusive",
+        "scaling": "control_w1",
     },
     "permtest": {
         "panel": None, "layer": "health", "metric": "degree", "kind": "total",
         "scope": "all", "variants": "none", "permutations": 2000,
         "sided": "two", "blocks": "none", "scaling": "control_w1",
-        "higher_order_mode": "exclusive",
     },
     "dyadic": {
         "panel": None, "layer": "health", "schemes": "coarse,fine",
@@ -108,7 +106,7 @@ DEGREE_KINDS = ("degree", "in_degree", "out_degree")
 CHOICES = {"layer": ALL_LAYERS, "layers": ALL_LAYERS, "schemes": SCHEMES, "outcomes": OUTCOMES,
            "kind": CONTRAST_KINDS, "kinds": CONTRAST_KINDS, "scope": DOSAGE_SCOPES,
            "scopes": DOSAGE_SCOPES, "metric": METRICS, "metrics": METRICS, "scaling": SCALINGS,
-           "higher_order_mode": HIGHER_ORDER_MODES, "sided": SIDES, "degree_kind": DEGREE_KINDS,
+           "sided": SIDES, "degree_kind": DEGREE_KINDS,
            "group": ("overall", "treated", "untreated"), "variants": VARIANT_FLAGS}
 LIST_OPTIONS = ("layers", "schemes", "outcomes", "kinds", "scopes", "metrics")
 
@@ -180,11 +178,12 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
     return config
 
 
-def _blocks_from(config: dict) -> dict[str, str] | None:
+def _blocks_from(config: dict, panel) -> dict[str, str] | None:
+    """The ``--blocks`` file, checked against the panel's villages, or None."""
     token = str(config.get("blocks", "none"))
     if token in ("", "none"):
         return None
-    return vio.read_blocks(token)
+    return vio.read_blocks(token, panel.villages)
 
 
 def _manifest_config(config: dict) -> dict:
@@ -239,14 +238,14 @@ def run_effects(config: dict, outdir: Path) -> None:
     scopes = _parse_list(str(config["scopes"]))
     kinds = _parse_list(str(config["kinds"]))
     variants = _parse_variants(str(config["variants"]))
+    blocks = _blocks_from(config, panel)
     estimates = effect_suite(
         panel, layers, metrics, scopes, kinds, variants,
         permutations=int(config["permutations"]),
         master_seed=int(config["seed"]),
-        higher_order_mode=str(config["higher_order_mode"]),
         scaling=str(config["scaling"]),
         threads=int(config["threads"]),
-        blocks=_blocks_from(config),
+        blocks=blocks,
     )
     vio.write_effects(estimates, outdir / "effects.csv")
     vio.write_plot_data(_plot_rows(estimates), outdir / "plotdata.csv")
@@ -280,13 +279,13 @@ def run_permtest(config: dict, outdir: Path) -> None:
 
     panel = vio.read_panel(config["panel"])
     _require_directed(panel, str(config["layer"]), "metric", str(config["metric"]))
+    blocks = _blocks_from(config, panel)
     spec = ContrastSpec(
         kind=str(config["kind"]),
         dosage_scope=str(config["scope"]),
         layer=str(config["layer"]),
         metric=str(config["metric"]),
         variant_flags=_parse_variants(str(config["variants"]))[0],
-        higher_order_mode=str(config["higher_order_mode"]),
     )
     result = permutation_pvalue(
         panel, spec,
@@ -294,7 +293,7 @@ def run_permtest(config: dict, outdir: Path) -> None:
         master_seed=int(config["seed"]),
         scaling=str(config["scaling"]),
         threads=int(config["threads"]),
-        blocks=_blocks_from(config),
+        blocks=blocks,
         sided=str(config["sided"]),
     )
     vio.write_null_draws(result, outdir / "nulldraws.txt")
@@ -371,7 +370,6 @@ def _degree_sample(net, kind: str) -> list[float]:
 
 
 def run_doseresponse(config: dict, outdir: Path) -> None:
-    from .effects import EffectError, group_change
     from .metrics import metric_table
     from .stats import loess_fit
 
@@ -389,10 +387,10 @@ def run_doseresponse(config: dict, outdir: Path) -> None:
         members = [index.individuals[i] for i in rows]
         if not members:
             continue
-        try:
-            m1, m3, _ = group_change(table, metric, members)
-        except EffectError:
-            continue
+        m1, n1 = table.group_mean(1, metric, members)
+        m3, n3 = table.group_mean(3, metric, members)
+        if n1 == 0 or n3 == 0:
+            continue   # no defined value at one wave
         points.append((panel.design.village_dosages[village], m3 - m1))
     curve = loess_fit(points, span=float(config["span"]), degree=int(config["degree"]))
     vio.write_curve(curve, outdir / "doseresponse.csv")

@@ -42,7 +42,6 @@ DIRECTED_ONLY_METRICS = ("in_degree", "out_degree")
 CONTRAST_KINDS = ("overall", "total", "spillover", "direct",
                   "spillover_first_order", "spillover_higher_order")
 DOSAGE_SCOPES = ("all", "low", "high")
-HIGHER_ORDER_MODES = ("exclusive", "distance_only")
 SCALINGS = ("control_w1", "control_w3")
 SIDES = ("two", "left", "right")
 OUTCOMES = ("dissolution", "formation", "wave3_link")
@@ -303,7 +302,6 @@ class ExclusionReport:
 
 
 INDIVIDUAL_EXCLUSION_REASONS = ("incomplete_forms", "absent", "moved")
-RESPONSE_DROP_REASONS = ("excluded_ego", "excluded_alter", "cross_village")
 
 
 def apply_inclusion_criteria(
@@ -455,11 +453,6 @@ class StudyIndex:
         dosages = np.array([design.village_dosages[v] for v in villages], dtype=float)
         treated = np.array([p.treated for p in people], dtype=bool)
         return cls(individuals, villages, members, village, household, (dosages, treated))
-
-    def encode(self, assignment) -> tuple[np.ndarray, np.ndarray]:
-        """An assignment (``village_dosages``, a set of ``treated`` ids) in ``observed`` form."""
-        return (np.array([assignment.village_dosages[v] for v in self.villages], dtype=float),
-                np.array([i in assignment.treated for i in self.individuals], dtype=bool))
 
 
 _T = TypeVar("_T")

@@ -5,28 +5,30 @@ metric against a comparison group's change, then scales the difference by the
 wave-1 mean of the metric in fully untreated villages so effects read as
 percentages.
 
-Group membership is a function of the treatment assignment, so one kernel
-classifies both the observed assignment and every re-randomized draw.
-Individuals, villages and the observed assignment come from the panel's
-study-wide index (`core.StudyIndex`, in `MetricTable.individuals` order). A
-(panel, layer, variant) adds only its wave-1 skeleton (`GroupIndex`, kept on
-the panel, so single-contrast helpers reuse it): (src, dst) index arrays over
-those individuals and the skeleton's connected components. `ContrastKernel`
+Group membership is a function of the treatment assignment, so one kernel,
+`ContrastKernel`, classifies both the observed assignment and every
+re-randomized draw; it is the only way to groups and statistics. Individuals,
+villages and the observed assignment come from the panel's study-wide index
+(`core.StudyIndex`), and a metric table's columns are read as they stand,
+since they follow the same individuals. A (panel, layer, variant) adds only
+its wave-1 skeleton (`GroupIndex`, kept on the panel): (src, dst) index arrays
+over those individuals and the skeleton's connected components. The kernel
 adds a value matrix X = [V1 | V3 | defined1 | defined3] over the requested
-metrics with undefined values set to 0. A draw is a dosage per village plus a treated
-flag per individual. Its focal, comparison and control-reference groups are
-boolean rows; first-order exposure is the study's one exposure rule
-(`core.has_treated_neighbor`, two bincounts over the skeleton edges) and "a
-treated node is reachable" one bincount over component ids, so no BFS runs
-per draw. All group sums and defined counts come from one product rows @ X,
-and the statistic of every spec follows elementwise. Group means are sums
-over defined counts, so for integer-valued metrics (the degree family) they
-equal the per-group mean bit for bit.
+metrics with undefined values set to 0. A draw is a dosage per village plus a
+treated flag per individual. Its focal, comparison and control-reference
+groups are boolean rows; first-order exposure is the study's one exposure rule
+(`core.has_treated_neighbor`, two bincounts over the skeleton edges).
+Higher-order spillover is the untreated in scope with no treated neighbor from
+whom a treated node is still reachable (distance 2 or more), "reachable" being
+one bincount over component ids, so no BFS runs per draw. All group sums and
+defined counts come from one product rows @ X, and the statistic of every spec
+follows elementwise. Group means are sums over defined counts, so for
+integer-valued metrics (the degree family) they equal the per-group mean bit
+for bit.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -36,7 +38,6 @@ from .core import (
     CONTRAST_KINDS,
     DOSAGE_SCOPES,
     HIGH_DOSAGES,
-    HIGHER_ORDER_MODES,
     LOW_DOSAGES,
     SCALINGS,
     WAVES,
@@ -46,24 +47,9 @@ from .core import (
 )
 from .metrics import MetricTable, metric_table
 
-log = logging.getLogger(__name__)
-
 
 class EffectError(ValueError):
     """A contrast cannot be evaluated on this panel."""
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """A (possibly re-randomized) treatment state: dosages plus treated ids."""
-
-    village_dosages: Mapping[str, float]
-    treated: frozenset[str]
-
-
-def observed_assignment(panel: StudyPanel) -> Assignment:
-    return Assignment(dict(panel.design.village_dosages),
-                      frozenset(i for i, ind in panel.individuals.items() if ind.treated))
 
 
 @dataclass(frozen=True)
@@ -73,15 +59,12 @@ class ContrastSpec:
     layer: str
     metric: str
     variant_flags: tuple[str, ...] = ()
-    higher_order_mode: str = "exclusive"
 
     def __post_init__(self):
         if self.kind not in CONTRAST_KINDS:
             raise EffectError(f"unknown contrast kind {self.kind}")
         if self.dosage_scope not in DOSAGE_SCOPES:
             raise EffectError(f"unknown dosage scope {self.dosage_scope}")
-        if self.higher_order_mode not in HIGHER_ORDER_MODES:
-            raise EffectError(f"unknown higher-order mode {self.higher_order_mode}")
         object.__setattr__(self, "variant_flags", tuple(sorted(set(self.variant_flags))))
 
     def label(self) -> str:
@@ -175,6 +158,13 @@ _CONTROL = ("control", "all")
 class ContrastKernel:
     """Groups and percentage DiD of many specs under any draw, one mask product each.
 
+    overall:   everyone in treated villages in scope  vs  untreated in 0% villages
+    total:     treated individuals in scope           vs  untreated in 0% villages
+    spillover: untreated in scope's treated villages  vs  untreated in 0% villages
+    direct:    treated in scope's treated villages    vs  untreated in those villages
+    The first/higher-order kinds restrict the spillover focal group to those
+    with a treated wave-1 neighbor / with none but a treated node reachable.
+
     All specs share one layer and variant. Without a table only the groups
     (`masks`) are available.
     """
@@ -212,8 +202,10 @@ class ContrastKernel:
 
     def _values(self, table: MetricTable) -> np.ndarray:
         """X = [V1 | V3 | defined1 | defined3], one column per metric in each block."""
-        rows = [table.index[i] for i in self.study.individuals]
-        v = np.column_stack([table.column(w, m)[rows] for w in WAVES for m in self.metrics])
+        if table.individuals != self.study.individuals:
+            raise EffectError(f"metric table of layer {table.layer} does not follow "
+                              f"the study's individuals")
+        v = np.column_stack([table.column(w, m) for w in WAVES for m in self.metrics])
         defined = ~np.isnan(v)
         return np.hstack([np.where(defined, v, 0.0), defined])
 
@@ -329,106 +321,18 @@ class Evaluation:
                               group_means=(f1, f3, c1, c3))
 
 
-def classify_groups(panel: StudyPanel, spec: ContrastSpec,
-                    assignment: Assignment | None = None) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Focal and comparison individual ids for a contrast (sorted ids).
-
-    overall:   everyone in treated villages in scope  vs  untreated in 0% villages
-    total:     treated individuals in scope           vs  untreated in 0% villages
-    spillover: untreated in scope's treated villages  vs  untreated in 0% villages
-    direct:    treated in scope's treated villages    vs  untreated in those villages
-    The first/higher-order kinds restrict the spillover focal group by the
-    wave-1 exposure classification (`classify_spillover_order`).
-    """
-    kernel = ContrastKernel(panel, [spec])
-    study = panel.index
-    dosages, treated = study.observed if assignment is None else study.encode(assignment)
-    rows = kernel.masks(dosages, treated)
-    focal, comparison = rows[kernel.focal[0]], rows[kernel.comparison[0]]
-    error = kernel.group_error(0, dosages, focal.sum(), comparison.sum())
-    if error:
-        raise EffectError(error)
-    ids = np.array(study.individuals, dtype=object)
-    return tuple(ids[focal]), tuple(ids[comparison])
-
-
-def classify_spillover_order(
-    panel: StudyPanel,
-    layer: str,
-    mode: str = "exclusive",
-    assignment: Assignment | None = None,
-    variant_flags: Sequence[str] = (),
-    scope: str = "all",
-    include_unreachable: bool = False,
-) -> dict[str, str]:
-    """Partition untreated members of treated villages by wave-1 exposure.
-
-    first_order: at least one treated neighbor (either direction) at wave 1.
-    higher_order (exclusive): no treated neighbor, but a treated node is
-        reachable on the undirected skeleton, necessarily at distance >= 2.
-    higher_order (distance_only): shortest skeleton distance to any treated
-        node is >= 2; with ``include_unreachable`` an infinite distance also
-        qualifies, otherwise such nodes are 'neither' (counts logged).
-    """
-    if mode not in HIGHER_ORDER_MODES:
-        raise EffectError(f"unknown higher-order mode {mode}")
-    study = panel.index
-    dosages, treated = study.observed if assignment is None else study.encode(assignment)
-    exposed, reachable = group_index(panel, layer, variant_flags).exposure(treated)
-    if mode == "distance_only" and include_unreachable:
-        reachable = np.ones_like(reachable)
-    members = _in_scope(study, dosages, scope) & ~treated
-    labels = np.where(exposed, "first_order", np.where(reachable, "higher_order", "neither"))
-    unreachable = int((members & ~exposed & ~reachable).sum())
-    if unreachable:
-        log.debug("spillover-order classification: %d untreated nodes with no path "
-                  "to a treated node labelled 'neither'", unreachable)
-    return {study.individuals[i]: str(labels[i]) for i in np.flatnonzero(members)}
-
-
-def group_change(table: MetricTable, metric: str, ids: Sequence[str]) -> tuple[float, float, int]:
-    """(wave-1 mean, wave-3 mean, min defined count) with NaNs excluded per wave."""
-    m1, n1 = table.group_mean(1, metric, ids)
-    m3, n3 = table.group_mean(3, metric, ids)
-    if n1 == 0 or n3 == 0:
-        raise EffectError(f"group of {len(ids)} has no defined {metric} values")
-    return m1, m3, min(n1, n3)
-
-
 def enumerate_specs(
     layers: Sequence[str],
     metrics: Sequence[str],
     scopes: Sequence[str],
     kinds: Sequence[str],
     variants: Sequence[Sequence[str]] = ((),),
-    higher_order_mode: str = "exclusive",
 ) -> list[ContrastSpec]:
     """Deterministic cross-product of requested contrasts."""
-    specs = []
-    for layer in layers:
-        for variant in variants:
-            for metric in metrics:
-                for scope in scopes:
-                    for kind in kinds:
-                        specs.append(ContrastSpec(
-                            kind=kind, dosage_scope=scope, layer=layer,
-                            metric=metric, variant_flags=tuple(variant),
-                            higher_order_mode=higher_order_mode,
-                        ))
-    return specs
-
-
-def evaluate_contrast(
-    panel: StudyPanel,
-    table: MetricTable,
-    spec: ContrastSpec,
-    assignment: Assignment | None = None,
-    scaling: str = "control_w1",
-) -> EffectEstimate:
-    """Point estimate (no p-value) for one contrast under one assignment."""
-    kernel = ContrastKernel(panel, [spec], table)
-    draw = panel.index.observed if assignment is None else panel.index.encode(assignment)
-    return kernel.estimates(*draw, scaling)[0]
+    return [ContrastSpec(kind=kind, dosage_scope=scope, layer=layer, metric=metric,
+                         variant_flags=tuple(variant))
+            for layer in layers for variant in variants for metric in metrics
+            for scope in scopes for kind in kinds]
 
 
 def effect_suite(
@@ -440,7 +344,6 @@ def effect_suite(
     variants: Sequence[Sequence[str]] = ((),),
     permutations: int = 0,
     master_seed: int = 0,
-    higher_order_mode: str = "exclusive",
     scaling: str = "control_w1",
     threads: int = 1,
     blocks: Mapping[str, str] | None = None,
@@ -460,8 +363,7 @@ def effect_suite(
         for variant in variants:
             table = metric_table(panel, layer, variant, metrics)
             wanted = [m for m in metrics if m in table.metrics]
-            specs = enumerate_specs([layer], wanted, scopes, kinds, [tuple(variant)],
-                                    higher_order_mode)
+            specs = enumerate_specs([layer], wanted, scopes, kinds, [tuple(variant)])
             if not specs:
                 continue
             if permutations > 0:

@@ -298,13 +298,15 @@ def read_layer_map(path: str | Path) -> list[LayerSpec]:
             for layer in BASE_LAYERS]
 
 
-def read_blocks(path: str | Path) -> dict[str, str]:
+def read_blocks(path: str | Path, villages: Sequence[str]) -> dict[str, str]:
+    """Each village's block label; every one of ``villages``, and no other, needs one."""
     numbers, rows = _read_rows(path)
     lineno, header = numbers[0], rows[0]
     if tuple(header) != BLOCK_COLUMNS:
         raise IngestionError(
             f"{path}: line {lineno}: block header must be {','.join(BLOCK_COLUMNS)}"
         )
+    known = set(villages)
     blocks: dict[str, str] = {}
     for lineno, fields in zip(numbers[1:], rows[1:]):
         if len(fields) != 2:
@@ -312,7 +314,12 @@ def read_blocks(path: str | Path) -> dict[str, str]:
         village, block = fields[0].strip(), fields[1].strip()
         if village in blocks:
             raise IngestionError(f"{path}: line {lineno}: village {village} listed twice")
+        if village not in known:
+            raise IngestionError(f"{path}: line {lineno}: village {village} is not in the panel")
         blocks[village] = block
+    missing = [v for v in villages if v not in blocks]
+    if missing:
+        raise IngestionError(f"{path}: villages without a block label: {', '.join(missing)}")
     return blocks
 
 

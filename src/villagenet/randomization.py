@@ -18,7 +18,9 @@ one ``choice(n_households, n_treated, replace=False)`` per village in design
 order. Individual treatment is one gather from the household flags, and the
 `effects.ContrastKernel` turns the draw into every spec's statistic with one
 mask product; the observed statistic goes through the same kernel, so
-``|T| >= |obs|`` ties are decided by one code path.
+``|T| >= |obs|`` ties are decided by one code path. `permutation_suite` (many
+specs, estimates with p-values) and `permutation_pvalue` (one spec, with its
+null draws) are two views of one body, `_permuted`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .core import SIDES, StudyPanel, TreatmentDesign, treated_household_count
 from .effects import ContrastKernel, ContrastSpec, EffectEstimate
-from .metrics import MetricTable
+from .metrics import MetricTable, metric_table
 
 log = logging.getLogger(__name__)
 
@@ -60,8 +62,7 @@ class DesignIndex:
     def __init__(self, design: TreatmentDesign, blocks: Mapping[str, str] | None = None):
         self.villages = design.villages
         self.labels = np.array([design.village_dosages[v] for v in self.villages], dtype=float)
-        self.households = tuple(design.households(v) for v in self.villages)
-        self.sizes = [len(h) for h in self.households]
+        self.sizes = [len(design.households(v)) for v in self.villages]
         self.offsets = [0, *np.cumsum(self.sizes).tolist()]
         if blocks is None:
             self.groups = [np.arange(len(self.villages))]
@@ -77,24 +78,11 @@ class DesignIndex:
 class AssignmentDraw:
     """One two-stage draw: a dosage per village and a treated flag per household.
 
-    Both arrays follow the `DesignIndex` order; ``village_dosages`` and
-    ``household_treatments`` read them back by village and household id.
+    Both arrays follow the `DesignIndex` order.
     """
 
-    design: DesignIndex
     dosages: np.ndarray
     treated: np.ndarray
-
-    @property
-    def village_dosages(self) -> dict[str, float]:
-        return dict(zip(self.design.villages, self.dosages.tolist()))
-
-    @property
-    def household_treatments(self) -> dict[str, dict[str, bool]]:
-        flags = self.treated.tolist()
-        return {v: dict(zip(hs, flags[offset:offset + len(hs)]))
-                for v, hs, offset in zip(self.design.villages, self.design.households,
-                                         self.design.offsets)}
 
 
 def permute_assignment(
@@ -124,7 +112,7 @@ def permute_assignment(
                 f"households but only {n_households} exist"
             )
         treated[offset + rng.choice(n_households, size=n_treated, replace=False)] = True
-    return AssignmentDraw(index, dosages, treated)
+    return AssignmentDraw(dosages, treated)
 
 
 def pvalue_from_draws(observed: float, draws: Sequence[float], sided: str = "two") -> float:
@@ -205,6 +193,26 @@ def _valid_draws(draws: np.ndarray, spec: ContrastSpec) -> np.ndarray:
     return valid
 
 
+def _permuted(panel: StudyPanel, table: MetricTable, specs: Sequence[ContrastSpec],
+              permutations: int, master_seed: int, scaling: str, threads: int,
+              blocks: Mapping[str, str] | None,
+              sided: str) -> list[tuple[EffectEstimate, np.ndarray]]:
+    """Each spec's observed estimate with its p-value, and the defined null draws behind it.
+
+    The observed statistic and every null statistic come from one kernel.
+    """
+    kernel = ContrastKernel(panel, specs, table)
+    observed = kernel.estimates(*panel.index.observed, scaling)
+    stats = null_statistics(panel, kernel, permutations, master_seed, scaling, threads, blocks)
+    results = []
+    for est, draws in zip(observed, stats):
+        valid = _valid_draws(draws, est.spec)
+        results.append((replace(est, p_value=pvalue_from_draws(est.pct_effect, valid, sided),
+                                permutations=permutations,
+                                skipped_draws=permutations - valid.size), valid))
+    return results
+
+
 def permutation_suite(
     panel: StudyPanel,
     table: MetricTable,
@@ -219,16 +227,8 @@ def permutation_suite(
     """Observed estimates for all specs with shared-draw permutation p-values."""
     if not specs:
         return []
-    kernel = ContrastKernel(panel, specs, table)
-    observed = kernel.estimates(*panel.index.observed, scaling)
-    stats = null_statistics(panel, kernel, permutations, master_seed, scaling, threads, blocks)
-    results = []
-    for est, draws in zip(observed, stats):
-        valid = _valid_draws(draws, est.spec)
-        results.append(replace(est, p_value=pvalue_from_draws(est.pct_effect, valid, sided),
-                               permutations=permutations,
-                               skipped_draws=permutations - valid.size))
-    return results
+    return [est for est, _ in _permuted(panel, table, specs, permutations, master_seed,
+                                        scaling, threads, blocks, sided)]
 
 
 def permutation_pvalue(
@@ -244,17 +244,10 @@ def permutation_pvalue(
 ) -> PermutationResult:
     """Full permutation result (observed, null draws, p) for one contrast."""
     if table is None:
-        from .metrics import metric_table
         table = metric_table(panel, spec.layer, spec.variant_flags, (spec.metric,))
-    kernel = ContrastKernel(panel, [spec], table)
-    (observed,) = kernel.estimates(*panel.index.observed, scaling)
-    stats = null_statistics(panel, kernel, permutations, master_seed, scaling, threads, blocks)
-    valid = _valid_draws(stats[0], spec)
-    return PermutationResult(
-        observed=observed.pct_effect,
-        null_draws=tuple(float(x) for x in valid),
-        p_value=pvalue_from_draws(observed.pct_effect, valid, sided),
-        sided=sided,
-        permutations=permutations,
-        skipped=permutations - valid.size,
-    )
+    ((est, valid),) = _permuted(panel, table, [spec], permutations, master_seed,
+                                scaling, threads, blocks, sided)
+    return PermutationResult(observed=est.pct_effect,
+                             null_draws=tuple(float(x) for x in valid),
+                             p_value=est.p_value, sided=sided, permutations=permutations,
+                             skipped=est.skipped_draws)

@@ -7,26 +7,60 @@ the groups' id lists (one `MetricTable.group_mean` per group and wave).
 `villagenet` evaluates the same draws with integer masks
 (`effects.ContrastKernel`, `randomization.permute_assignment`); the tests
 require both to agree draw by draw.
+
+The ``kernel_*`` helpers and `draw_by_id` are the other direction: they put
+an id-level assignment through villagenet's own kernel and read its draws
+back by id, so that tests can state groups and statistics in ids.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Mapping, Sequence
+
 import numpy as np
 
-from villagenet.core import StudyPanel, TreatmentDesign, dosage_group, treated_household_count
-from villagenet.effects import (
+from villagenet.core import (
     DOSAGE_SCOPES,
     SCALINGS,
-    Assignment,
+    StudyPanel,
+    TreatmentDesign,
+    dosage_group,
+    treated_household_count,
+)
+from villagenet.effects import (
+    ContrastKernel,
     ContrastSpec,
     EffectError,
-    group_change,
-    observed_assignment,
+    EffectEstimate,
+    group_index,
 )
 from villagenet.metrics import MetricTable
-from villagenet.randomization import derive_stream
+from villagenet.randomization import AssignmentDraw, derive_stream
 
 from network_oracle import bfs_distances, undirected_neighbors
+
+
+@dataclass(frozen=True)
+class Assignment:
+    """A (possibly re-randomized) treatment state: dosages plus treated ids."""
+
+    village_dosages: Mapping[str, float]
+    treated: frozenset[str]
+
+
+def observed_assignment(panel: StudyPanel) -> Assignment:
+    return Assignment(dict(panel.design.village_dosages),
+                      frozenset(i for i, ind in panel.individuals.items() if ind.treated))
+
+
+def group_change(table: MetricTable, metric: str, ids: Sequence[str]) -> tuple[float, float, int]:
+    """(wave-1 mean, wave-3 mean, min defined count) with NaNs excluded per wave."""
+    m1, n1 = table.group_mean(1, metric, ids)
+    m3, n3 = table.group_mean(3, metric, ids)
+    if n1 == 0 or n3 == 0:
+        raise EffectError(f"group of {len(ids)} has no defined {metric} values")
+    return m1, m3, min(n1, n3)
 
 
 def scope_villages(asg: Assignment, scope: str) -> tuple[str, ...]:
@@ -167,7 +201,7 @@ def classify_groups(panel: StudyPanel, spec: ContrastSpec, asg: Assignment):
     else:
         order = "first_order" if spec.kind == "spillover_first_order" else "higher_order"
         labels = classify_spillover_order(panel, spec.layer, asg, spec.variant_flags,
-                                          spec.dosage_scope, spec.higher_order_mode)
+                                          spec.dosage_scope)
         focal = tuple(i for i in scope_members if labels.get(i) == order)
         comparison = control_untreated
     if not focal:
@@ -202,3 +236,62 @@ def null_statistics(panel: StudyPanel, table: MetricTable, specs, permutations: 
             except EffectError:
                 pass
     return out
+
+
+def _draw(panel: StudyPanel, asg: Assignment | None) -> tuple[np.ndarray, np.ndarray]:
+    """An assignment as the kernel takes it: (dosage per village, treated flag per individual)."""
+    study = panel.index
+    if asg is None:
+        return study.observed
+    return (np.array([asg.village_dosages[v] for v in study.villages], dtype=float),
+            np.array([i in asg.treated for i in study.individuals], dtype=bool))
+
+
+def kernel_groups(panel: StudyPanel, spec: ContrastSpec,
+                  asg: Assignment | None = None) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The kernel's focal and comparison ids for a contrast (sorted ids)."""
+    kernel = ContrastKernel(panel, [spec])
+    dosages, treated = _draw(panel, asg)
+    rows = kernel.masks(dosages, treated)
+    focal, comparison = rows[kernel.focal[0]], rows[kernel.comparison[0]]
+    error = kernel.group_error(0, dosages, focal.sum(), comparison.sum())
+    if error:
+        raise EffectError(error)
+    ids = np.array(panel.index.individuals, dtype=object)
+    return tuple(ids[focal]), tuple(ids[comparison])
+
+
+def kernel_evaluate(panel: StudyPanel, table: MetricTable, spec: ContrastSpec,
+                    asg: Assignment | None = None,
+                    scaling: str = "control_w1") -> EffectEstimate:
+    """The kernel's point estimate for one contrast under one assignment."""
+    return ContrastKernel(panel, [spec], table).estimates(*_draw(panel, asg), scaling)[0]
+
+
+def kernel_spillover_order(panel: StudyPanel, layer: str, mode: str = "exclusive",
+                           asg: Assignment | None = None, variant_flags=(),
+                           scope: str = "all",
+                           include_unreachable: bool = False) -> dict[str, str]:
+    """Untreated members of treated villages in scope, labelled by the kernel's exposure.
+
+    first_order: a treated wave-1 neighbor; higher_order: none, but a treated
+    node is reachable (distance >= 2); otherwise 'neither'. Under
+    ``mode='distance_only'`` with ``include_unreachable`` the unreachable
+    count as higher_order too.
+    """
+    spillover = ContrastKernel(panel, [ContrastSpec("spillover", scope, layer, "degree",
+                                                    tuple(variant_flags))])
+    dosages, treated = _draw(panel, asg)
+    members = spillover.masks(dosages, treated)[spillover.focal[0]]
+    exposed, reachable = group_index(panel, layer, variant_flags).exposure(treated)
+    if mode == "distance_only" and include_unreachable:
+        reachable[:] = True
+    labels = np.where(exposed, "first_order", np.where(reachable, "higher_order", "neither"))
+    return {panel.index.individuals[i]: str(labels[i]) for i in np.flatnonzero(members)}
+
+
+def draw_by_id(design: TreatmentDesign, draw: AssignmentDraw):
+    """(village dosages, household treatments) of a draw, by village and household id."""
+    flags = iter(draw.treated.tolist())
+    return (dict(zip(design.villages, draw.dosages.tolist())),
+            {v: {h: next(flags) for h in design.households(v)} for v in design.villages})

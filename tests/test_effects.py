@@ -3,19 +3,18 @@
 import numpy as np
 import pytest
 
-from villagenet.effects import (
-    ContrastSpec,
-    EffectError,
-    classify_groups,
-    classify_spillover_order,
-    enumerate_specs,
-    evaluate_contrast,
-    observed_assignment,
-)
+from villagenet.effects import ContrastSpec, EffectError, enumerate_specs
 from villagenet.metrics import metric_table
 
 from conftest import make_panel
-from draw_oracle import counterfactual_trend, did_statistic
+from draw_oracle import (
+    counterfactual_trend,
+    did_statistic,
+    kernel_evaluate,
+    kernel_groups,
+    kernel_spillover_order,
+    observed_assignment,
+)
 from network_oracle import bfs_distances, undirected_neighbors
 
 
@@ -59,32 +58,32 @@ class TestClassifyGroups:
                             metric="degree")
 
     def test_overall(self):
-        focal, comp = classify_groups(self._panel(), self.spec("overall"))
+        focal, comp = kernel_groups(self._panel(), self.spec("overall"))
         assert set(focal) == {"loa", "lob", "loc", "lod", "loe", "hia", "hib"}
         assert set(comp) == {"c1a", "c1b"}
 
     def test_total_includes_fully_treated(self):
-        focal, comp = classify_groups(self._panel(), self.spec("total"))
+        focal, comp = kernel_groups(self._panel(), self.spec("total"))
         assert set(focal) == {"loa", "hia", "hib"}
         assert set(comp) == {"c1a", "c1b"}
 
     def test_spillover_excludes_fully_treated_villages(self):
-        focal, comp = classify_groups(self._panel(), self.spec("spillover"))
+        focal, comp = kernel_groups(self._panel(), self.spec("spillover"))
         assert set(focal) == {"lob", "loc", "lod", "loe"}
         assert set(comp) == {"c1a", "c1b"}
 
     def test_direct_comparison_within_treated_villages(self):
-        focal, comp = classify_groups(self._panel(), self.spec("direct"))
+        focal, comp = kernel_groups(self._panel(), self.spec("direct"))
         assert set(focal) == {"loa", "hia", "hib"}
         assert set(comp) == {"lob", "loc", "lod", "loe"}
 
     def test_low_scope_excludes_high_villages(self):
-        focal, _ = classify_groups(self._panel(), self.spec("total", scope="low"))
+        focal, _ = kernel_groups(self._panel(), self.spec("total", scope="low"))
         assert set(focal) == {"loa"}
 
     def test_empty_group_is_error(self):
         with pytest.raises(EffectError, match="empty focal"):
-            classify_groups(self._panel(), self.spec("spillover", scope="high"))
+            kernel_groups(self._panel(), self.spec("spillover", scope="high"))
 
     def test_single_control_single_low_all_kinds_nonempty(self):
         villages = {
@@ -98,7 +97,7 @@ class TestClassifyGroups:
         }
         panel = make_panel(villages)
         for kind in ("overall", "total", "spillover", "direct"):
-            focal, comp = classify_groups(panel, self.spec(kind))
+            focal, comp = kernel_groups(panel, self.spec(kind))
             assert focal and comp
 
 
@@ -106,7 +105,7 @@ class TestSpilloverOrder:
     def test_hand_built_classification(self):
         panel = spillover_village_panel()
         for mode in ("exclusive", "distance_only"):
-            labels = classify_spillover_order(panel, "health", mode=mode)
+            labels = kernel_spillover_order(panel, "health", mode=mode)
             assert labels["t1a"] == "first_order"
             assert labels["t1b"] == "higher_order"
             assert labels["t1d"] == "neither"
@@ -117,17 +116,17 @@ class TestSpilloverOrder:
 
     def test_distance_only_flag_includes_unreachable(self):
         panel = spillover_village_panel()
-        labels = classify_spillover_order(panel, "health", mode="distance_only",
-                                          include_unreachable=True)
+        labels = kernel_spillover_order(panel, "health", mode="distance_only",
+                                        include_unreachable=True)
         assert labels["t1d"] == "higher_order"
         assert labels["t1e"] == "higher_order"
-        exclusive = classify_spillover_order(panel, "health", mode="exclusive",
-                                             include_unreachable=True)
+        exclusive = kernel_spillover_order(panel, "health", mode="exclusive",
+                                           include_unreachable=True)
         assert exclusive["t1d"] == "neither"  # flag only applies to distance_only
 
     def test_partition_property(self):
         panel = spillover_village_panel()
-        labels = classify_spillover_order(panel, "health")
+        labels = kernel_spillover_order(panel, "health")
         asg = observed_assignment(panel)
         untreated_in_treated = {i for i in panel.members("t1") if i not in asg.treated}
         assert set(labels) == untreated_in_treated
@@ -154,7 +153,7 @@ class TestSpilloverOrder:
                 panel = make_panel(villages, {("t", 1, "health"): edges})
             except Exception:
                 continue  # treated count incompatible with a 0.2 arm
-            labels = classify_spillover_order(panel, "health")
+            labels = kernel_spillover_order(panel, "health")
             net = panel.network("t", 1, "health")
             dist = bfs_distances(undirected_neighbors(net), sorted(treated_ids))
             for node in net.nodes:
@@ -175,16 +174,16 @@ class TestSpilloverOrder:
                    "treated": ["g1"]},
         }
         panel = make_panel(villages, {("t1", 1, "health"): [("ta", "tc")]})
-        base = classify_spillover_order(panel, "health")
+        base = kernel_spillover_order(panel, "health")
         assert base["tc"] == "first_order"
-        filtered = classify_spillover_order(panel, "health",
-                                            variant_flags=("exclude_intra_household",))
+        filtered = kernel_spillover_order(panel, "health",
+                                          variant_flags=("exclude_intra_household",))
         assert filtered["tc"] == "first_order"  # ta-tc crosses households
 
     def test_missing_layer_errors(self):
         panel = spillover_village_panel()
         with pytest.raises(ValueError):
-            classify_spillover_order(panel, "gossip")
+            kernel_spillover_order(panel, "gossip")
 
 
 class TestDidStatistic:
@@ -296,7 +295,7 @@ class TestSuite:
         for kind in ("total", "spillover", "direct"):
             spec = ContrastSpec(kind=kind, dosage_scope="all", layer="health",
                                 metric="degree")
-            vals[kind] = evaluate_contrast(two_village_panel, table, spec).raw_did
+            vals[kind] = kernel_evaluate(two_village_panel, table, spec).raw_did
         assert vals["direct"] == pytest.approx(
             vals["total"] - vals["spillover"], abs=1e-12)
 
@@ -316,7 +315,7 @@ class TestSuite:
         for kind in ("overall", "total", "spillover", "direct"):
             spec = ContrastSpec(kind=kind, dosage_scope="all", layer="health",
                                 metric="degree")
-            est = evaluate_contrast(panel, table, spec)
+            est = kernel_evaluate(panel, table, spec)
             assert est.pct_effect == 0.0
 
     def test_enumerate_specs_deterministic(self):

@@ -137,7 +137,7 @@ class TestEdgesAndLayers:
     def test_blocks(self, tmp_path):
         p = tmp_path / "b.csv"
         p.write_text("village_id,block\nv1,x\nv2,x\n")
-        assert vio.read_blocks(p) == {"v1": "x", "v2": "x"}
+        assert vio.read_blocks(p, ("v1", "v2")) == {"v1": "x", "v2": "x"}
 
 
 ID_TEXT = st.text(alphabet=st.sampled_from('ab"\\/é村𝄞\u2028 '), max_size=3)

@@ -19,9 +19,7 @@ from villagenet.effects import (
     ContrastKernel,
     ContrastSpec,
     EffectError,
-    classify_groups,
     enumerate_specs,
-    evaluate_contrast,
     group_index,
 )
 from villagenet.metrics import metric_table
@@ -76,9 +74,8 @@ def assert_same_statistics(got, want, metric):
         np.testing.assert_allclose(got, want, rtol=FLOAT_TOLERANCE, atol=FLOAT_TOLERANCE)
 
 
-def all_specs(metric, variant, mode="exclusive"):
-    return enumerate_specs(["health"], [metric], DOSAGE_SCOPES, CONTRAST_KINDS,
-                           [variant], mode)
+def all_specs(metric, variant):
+    return enumerate_specs(["health"], [metric], DOSAGE_SCOPES, CONTRAST_KINDS, [variant])
 
 
 CASES = dict(
@@ -90,13 +87,11 @@ CASES = dict(
 
 
 @settings(max_examples=60, deadline=None)
-@given(**CASES, mode=st.sampled_from(["exclusive", "distance_only"]),
-       scaling=st.sampled_from(["control_w1", "control_w3"]))
-def test_null_statistics_match_oracle_draw_by_draw(seed, blocked, variant, metric, mode,
-                                                   scaling):
+@given(**CASES, scaling=st.sampled_from(["control_w1", "control_w3"]))
+def test_null_statistics_match_oracle_draw_by_draw(seed, blocked, variant, metric, scaling):
     panel = random_panel(seed)
     blocks = blocks_for(panel, seed) if blocked else None
-    specs = all_specs(metric, variant, mode)
+    specs = all_specs(metric, variant)
     table = metric_table(panel, "health", variant, (metric,))
     got = null_statistics(panel, ContrastKernel(panel, specs, table), 15, seed, scaling,
                           blocks=blocks)
@@ -118,13 +113,13 @@ def test_observed_estimates_and_groups_match_oracle(seed, blocked, variant, metr
                 want = draw_oracle.evaluate(panel, table, spec, asg)
             except EffectError as exc:
                 with pytest.raises(EffectError) as raised:
-                    evaluate_contrast(panel, table, spec, asg)
+                    draw_oracle.kernel_evaluate(panel, table, spec, asg)
                 assert str(raised.value) == str(exc)
                 continue
-            est = evaluate_contrast(panel, table, spec, asg)
+            est = draw_oracle.kernel_evaluate(panel, table, spec, asg)
             got = (est.raw_did, est.pct_effect, est.n_focal, est.n_comparison)
             assert_same_statistics(np.array(got), np.array(want), metric)
-            focal, comparison = classify_groups(panel, spec, asg)
+            focal, comparison = draw_oracle.kernel_groups(panel, spec, asg)
             want_focal, want_comparison = draw_oracle.classify_groups(
                 panel, spec, asg if asg is not None else draw_oracle.observed_assignment(panel))
             assert (set(focal), set(comparison)) == (set(want_focal), set(want_comparison))
@@ -138,7 +133,7 @@ def test_permute_assignment_keeps_the_rng_call_order(seed, blocked):
     for j in range(5):
         draw = permute_assignment(panel.design, derive_stream(seed, j), blocks)
         want = draw_oracle.permute_assignment(panel.design, derive_stream(seed, j), blocks)
-        assert (draw.village_dosages, draw.household_treatments) == want
+        assert draw_oracle.draw_by_id(panel.design, draw) == want
 
 
 @settings(max_examples=40, deadline=None)

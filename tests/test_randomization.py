@@ -25,6 +25,7 @@ from villagenet.randomization import (
 from villagenet.synth import SyntheticScenario, generate_panel
 
 from conftest import make_panel
+from draw_oracle import draw_by_id
 
 
 class TestDeriveStream:
@@ -64,15 +65,17 @@ class TestPermuteAssignment:
         seen = set()
         for i in range(64):
             draw = permute_assignment(design, derive_stream(3, i))
-            seen.add((draw.village_dosages["a"], draw.village_dosages["b"]))
+            dosages, treatments = draw_by_id(design, draw)
+            seen.add((dosages["a"], dosages["b"]))
         assert seen == {(0.0, 1.0), (1.0, 0.0)}
 
     def test_zero_dosage_village_never_treated(self):
         design = two_arm_design()
         for i in range(32):
             draw = permute_assignment(design, derive_stream(4, i))
-            for village, alpha in draw.village_dosages.items():
-                n_treated = sum(draw.household_treatments[village].values())
+            dosages, treatments = draw_by_id(design, draw)
+            for village, alpha in dosages.items():
+                n_treated = sum(treatments[village].values())
                 if alpha == 0.0:
                     assert n_treated == 0
                 else:
@@ -89,7 +92,8 @@ class TestPermuteAssignment:
         want = Counter(design.village_dosages.values())
         for i in range(10_000):
             draw = permute_assignment(design, derive_stream(5, i))
-            assert Counter(draw.village_dosages.values()) == want
+            dosages, treatments = draw_by_id(design, draw)
+            assert Counter(dosages.values()) == want
 
     def test_blocks_confine_permutation(self):
         design = TreatmentDesign(
@@ -100,8 +104,9 @@ class TestPermuteAssignment:
         blocks = {"a": "x", "b": "x", "c": "y", "d": "y"}
         for i in range(50):
             draw = permute_assignment(design, derive_stream(6, i), blocks=blocks)
-            assert {draw.village_dosages["a"], draw.village_dosages["b"]} == {0.0, 1.0}
-            assert {draw.village_dosages["c"], draw.village_dosages["d"]} == {0.0, 1.0}
+            dosages, treatments = draw_by_id(design, draw)
+            assert {dosages["a"], dosages["b"]} == {0.0, 1.0}
+            assert {dosages["c"], dosages["d"]} == {0.0, 1.0}
 
     def test_missing_block_label_errors(self):
         with pytest.raises(RandomizationError, match="block"):

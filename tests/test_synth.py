@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from villagenet.core import treated_household_count
-from villagenet.effects import ContrastSpec, evaluate_contrast
+from villagenet.effects import ContrastSpec
 from villagenet.metrics import metric_table
 from villagenet.randomization import derive_stream
 from villagenet.synth import (
@@ -18,6 +18,8 @@ from villagenet.synth import (
     replicate_study,
     sample_wave3,
 )
+
+from draw_oracle import kernel_evaluate
 
 
 def small_scenario(**overrides):
@@ -78,7 +80,7 @@ class TestGeneration:
         for kind in ("overall", "total", "spillover", "direct"):
             spec = ContrastSpec(kind=kind, dosage_scope="all", layer="health",
                                 metric="degree")
-            assert evaluate_contrast(panel, table, spec).pct_effect == 0.0
+            assert kernel_evaluate(panel, table, spec).pct_effect == 0.0
 
     def test_null_scenario_oracle_centered_at_zero(self):
         # Conditional on a realized wave 1 the oracle regresses toward the
@@ -162,7 +164,7 @@ class TestOracleConsistency:
         for rep in range(500):
             panel = panel_from_state(state, sample_wave3(state, derive_stream(5, rep)))
             table = metric_table(panel, "health")
-            draws.append(evaluate_contrast(panel, table, spec).pct_effect)
+            draws.append(kernel_evaluate(panel, table, spec).pct_effect)
         draws = np.asarray(draws)
         mc_se = draws.std(ddof=1) / np.sqrt(draws.size)
         want = oracle.expected_pct[spec.label()]
@@ -204,7 +206,7 @@ class TestPlantedSpillover:
             table = metric_table(panel, "health")
             spec = ContrastSpec(kind="spillover", dosage_scope="all",
                                 layer="health", metric="degree")
-            negatives += evaluate_contrast(panel, table, spec).pct_effect < 0
+            negatives += kernel_evaluate(panel, table, spec).pct_effect < 0
         assert negatives / n_reps >= 0.95
 
 
