@@ -393,19 +393,12 @@ def residual_network(target: LayerNetwork, health: LayerNetwork) -> LayerNetwork
     return target.keep_edges(~np.isin(target.src * n + target.dst, health.src * n + health.dst))
 
 
-def exclude_intra_household(network: LayerNetwork,
-                            roster: Mapping[str, Individual]) -> LayerNetwork:
-    """Drop edges whose endpoints share a household; nodes are unchanged."""
-    code: dict[str, int] = {}
-    household = np.array([code.setdefault(roster[node].household_id, len(code))
-                          if node in roster else -1 for node in network.nodes], dtype=np.intp)
-    src, dst = household[network.src], household[network.dst]
-    missing = (src < 0) | (dst < 0)
-    if missing.any():
-        k = int(np.argmax(missing))
-        end = network.src[k] if src[k] < 0 else network.dst[k]
-        raise IngestionError(f"node {network.nodes[end]} has no roster entry")
-    return network.keep_edges(src != dst)
+def exclude_intra_household(network: LayerNetwork, household: np.ndarray) -> LayerNetwork:
+    """Drop edges whose endpoints share a household; nodes are unchanged.
+
+    ``household`` holds each node's household code, in node order.
+    """
+    return network.keep_edges(household[network.src] != household[network.dst])
 
 
 def has_treated_neighbor(src: np.ndarray, dst: np.ndarray, treated: np.ndarray) -> np.ndarray:
@@ -527,7 +520,9 @@ class StudyPanel:
             if "residual" in variants:
                 net = residual_network(net, base("health"))
             if "exclude_intra_household" in variants:
-                net = exclude_intra_household(net, self.individuals)
+                study = self.index
+                nodes = study.members[study.villages.index(village)]
+                net = exclude_intra_household(net, study.household[nodes])
             return net
 
         return self.compiled(("network", village, wave, layer, variants), build)

@@ -350,28 +350,22 @@ def effect_suite(
 ) -> list[EffectEstimate]:
     """All requested contrasts, with permutation p-values when requested.
 
-    The cross-product skips in/out-degree on undirected layers. All specs
-    share one set of re-randomization draws derived from the master seed, so
-    the output is reproducible and independent of evaluation order. Each
+    The cross-product skips in/out-degree on undirected layers. Each
     (layer, variant) metric table holds only the requested metrics, and each
-    (layer, variant) is compiled into one `ContrastKernel`.
+    (layer, variant) is compiled into one `ContrastKernel`. All kernels go to
+    `randomization.permuted_estimates` together: every draw, derived from the
+    master seed, is made once and evaluated by every kernel, so the output is
+    reproducible and independent of evaluation order.
     """
-    from . import randomization  # late import: randomization builds on this module
+    from .randomization import permuted_estimates  # late import: it builds on this module
 
-    estimates: list[EffectEstimate] = []
+    kernels = []
     for layer in layers:
         for variant in variants:
             table = metric_table(panel, layer, variant, metrics)
             wanted = [m for m in metrics if m in table.metrics]
             specs = enumerate_specs([layer], wanted, scopes, kinds, [tuple(variant)])
-            if not specs:
-                continue
-            if permutations > 0:
-                estimates.extend(randomization.permutation_suite(
-                    panel, table, specs, permutations, master_seed,
-                    scaling=scaling, threads=threads, blocks=blocks,
-                ))
-            else:
-                kernel = ContrastKernel(panel, specs, table)
-                estimates.extend(kernel.estimates(*panel.index.observed, scaling))
-    return estimates
+            if specs:
+                kernels.append(ContrastKernel(panel, specs, table))
+    return [est for est, _ in permuted_estimates(panel, kernels, permutations, master_seed,
+                                                 scaling, threads, blocks)]

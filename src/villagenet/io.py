@@ -502,14 +502,14 @@ def write_exclusion_report(report: ExclusionReport, path: str | Path) -> None:
 
 
 def write_metric_table(table, path: str | Path) -> None:
-    metrics = table.metrics
     heads = [f"{ind},{village}," for ind, village in zip(table.individuals, table.villages)]
     lines = []
     for wave in (1, 3):
-        for metric in metrics:
+        for metric in table.metrics:
             tail = f",{table.layer},{metric},"
-            lines += [f"{head}{wave}{tail}{fmt_value(value)}"
-                      for head, value in zip(heads, table.values[(wave, metric)].tolist())]
+            # the float column formatted as fmt_value does it: NaN is NA
+            lines += [f"{head}{wave}{tail}{'NA' if v != v else format(v, '.12g')}"
+                      for head, v in zip(heads, table.values[(wave, metric)].tolist())]
     _write_lines(path, "metrics",
                  "individual_id,village_id,wave,layer,metric,value", sorted(lines))
 

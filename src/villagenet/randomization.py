@@ -7,20 +7,22 @@ test statistic are recomputed per draw. Each draw owns an independent RNG
 stream derived from (master_seed, draw_index), so results are identical no
 matter how draws are split across worker processes.
 
-The design is compiled once into index arrays (`DesignIndex`): the observed
-dosage per village and each village's households as a slice of one global
-household order. Each individual's household index in that order comes from
-the panel's study-wide index (`core.StudyIndex.household`). A draw
+The design is compiled once per run into index arrays (`DesignIndex`): the
+observed dosage per village and each village's households as a slice of one
+global household order. Each individual's household index in that order comes
+from the panel's study-wide index (`core.StudyIndex.household`). A draw
 (`permute_assignment`, the only draw path) writes a dosage per village and a
 treated flag per household directly, with the same RNG calls in the same
 order as always: one ``permutation`` per block group (blocks sorted), then
 one ``choice(n_households, n_treated, replace=False)`` per village in design
-order. Individual treatment is one gather from the household flags, and the
-`effects.ContrastKernel` turns the draw into every spec's statistic with one
-mask product; the observed statistic goes through the same kernel, so
-``|T| >= |obs|`` ties are decided by one code path. `permutation_suite` (many
-specs, estimates with p-values) and `permutation_pvalue` (one spec, with its
-null draws) are two views of one body, `_permuted`.
+order. Individual treatment is one gather from the household flags, and each
+`effects.ContrastKernel` (one per layer and variant) turns the draw into its
+specs' statistics with one mask product. One run makes each draw once and
+every kernel evaluates it, so all contrasts share one set of null
+assignments; the observed statistic goes through the same kernels, so
+``|T| >= |obs|`` ties are decided by one code path. `effects.effect_suite`
+(many kernels) and `permutation_pvalue` (one spec, with its null draws) are
+two views of one body, `permuted_estimates`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .core import SIDES, StudyPanel, TreatmentDesign, treated_household_count
 from .effects import ContrastKernel, ContrastSpec, EffectEstimate
-from .metrics import MetricTable, metric_table
+from .metrics import metric_table
 
 log = logging.getLogger(__name__)
 
@@ -74,37 +76,22 @@ class DesignIndex:
                            for b in sorted(set(blocks[v] for v in self.villages))]
 
 
-@dataclass(frozen=True, eq=False)
-class AssignmentDraw:
-    """One two-stage draw: a dosage per village and a treated flag per household.
-
-    Both arrays follow the `DesignIndex` order.
-    """
-
-    dosages: np.ndarray
-    treated: np.ndarray
-
-
-def permute_assignment(
-    design: TreatmentDesign | DesignIndex,
-    rng: np.random.Generator,
-    blocks: Mapping[str, str] | None = None,
-) -> AssignmentDraw:
+def permute_assignment(design: DesignIndex,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One two-stage re-randomization of the observed design.
 
-    Stage 1 permutes the observed dosage labels across villages (within
-    blocks when given), preserving the dosage multiset exactly. Stage 2
-    samples a uniform treated-household subset of the dosage-implied size.
-    A `TreatmentDesign` is compiled with ``blocks`` first; a `DesignIndex`
-    is drawn from as compiled.
+    Stage 1 permutes the observed dosage labels across villages (within the
+    design's blocks), preserving the dosage multiset exactly. Stage 2 samples
+    a uniform treated-household subset of the dosage-implied size. Returns a
+    dosage per village and a treated flag per household, in `DesignIndex`
+    order.
     """
-    index = design if isinstance(design, DesignIndex) else DesignIndex(design, blocks)
-    dosages = np.empty_like(index.labels)
-    for group in index.groups:
-        dosages[group] = index.labels[group][rng.permutation(group.size)]
-    treated = np.zeros(index.offsets[-1], dtype=bool)
-    for village, alpha, n_households, offset in zip(index.villages, dosages.tolist(),
-                                                    index.sizes, index.offsets):
+    dosages = np.empty_like(design.labels)
+    for group in design.groups:
+        dosages[group] = design.labels[group][rng.permutation(group.size)]
+    treated = np.zeros(design.offsets[-1], dtype=bool)
+    for village, alpha, n_households, offset in zip(design.villages, dosages.tolist(),
+                                                    design.sizes, design.offsets):
         n_treated = treated_household_count(alpha, n_households)
         if n_treated > n_households:
             raise RandomizationError(
@@ -112,7 +99,7 @@ def permute_assignment(
                 f"households but only {n_households} exist"
             )
         treated[offset + rng.choice(n_households, size=n_treated, replace=False)] = True
-    return AssignmentDraw(dosages, treated)
+    return dosages, treated
 
 
 def pvalue_from_draws(observed: float, draws: Sequence[float], sided: str = "two") -> float:
@@ -139,34 +126,41 @@ class PermutationResult:
     skipped: int = 0
 
 
-def _null_chunk(kernel: ContrastKernel, design: DesignIndex, household: np.ndarray,
+def _null_chunk(kernels: Sequence[ContrastKernel], design: DesignIndex, household: np.ndarray,
                 master_seed: int, scaling: str, start: int, stop: int) -> np.ndarray:
-    """Null statistics of draws start..stop-1, one column per draw."""
-    out = np.empty((len(kernel.specs), stop - start))
+    """Null statistics of draws start..stop-1, one column per draw.
+
+    Each draw is made once; every kernel evaluates it into its own rows.
+    """
+    bounds = np.cumsum([0] + [len(kernel.specs) for kernel in kernels]).tolist()
+    rows = [(kernel, slice(lo, hi)) for kernel, lo, hi in zip(kernels, bounds, bounds[1:])]
+    out = np.empty((bounds[-1], stop - start))
     for j in range(start, stop):
-        draw = permute_assignment(design, derive_stream(master_seed, j))
-        out[:, j - start] = kernel.evaluate(draw.dosages, draw.treated[household], scaling).pct
+        dosages, treated = permute_assignment(design, derive_stream(master_seed, j))
+        treated = treated[household]
+        for kernel, block in rows:
+            out[block, j - start] = kernel.evaluate(dosages, treated, scaling).pct
     return out
 
 
 def null_statistics(
     panel: StudyPanel,
-    kernel: ContrastKernel,
+    kernels: Sequence[ContrastKernel],
     permutations: int,
     master_seed: int,
     scaling: str = "control_w1",
     threads: int = 1,
     blocks: Mapping[str, str] | None = None,
 ) -> np.ndarray:
-    """(n_specs, permutations) null statistics of the kernel's specs; NaN marks a skipped draw.
+    """(specs, permutations) null statistics of the kernels' specs; NaN marks a skipped draw.
 
-    With ``threads`` > 1 contiguous chunks of draws run in forked worker
-    processes, which receive only the compiled kernel and design.
+    Rows follow the kernels' specs in order. The design is compiled once and
+    every kernel reads the same draws. With ``threads`` > 1 contiguous chunks
+    of draws run in one pool of forked worker processes, which receive only
+    the compiled kernels and design.
     """
-    if permutations < 1:
-        raise ValueError("permutations must be >= 1")
     design = DesignIndex(panel.design, blocks)
-    chunk = partial(_null_chunk, kernel, design, panel.index.household, master_seed, scaling)
+    chunk = partial(_null_chunk, kernels, design, panel.index.household, master_seed, scaling)
     if threads <= 1 or permutations < 2 * threads:
         return chunk(0, permutations)
     import multiprocessing
@@ -193,17 +187,21 @@ def _valid_draws(draws: np.ndarray, spec: ContrastSpec) -> np.ndarray:
     return valid
 
 
-def _permuted(panel: StudyPanel, table: MetricTable, specs: Sequence[ContrastSpec],
-              permutations: int, master_seed: int, scaling: str, threads: int,
-              blocks: Mapping[str, str] | None,
-              sided: str) -> list[tuple[EffectEstimate, np.ndarray]]:
-    """Each spec's observed estimate with its p-value, and the defined null draws behind it.
+def permuted_estimates(panel: StudyPanel, kernels: Sequence[ContrastKernel], permutations: int,
+                       master_seed: int, scaling: str = "control_w1", threads: int = 1,
+                       blocks: Mapping[str, str] | None = None,
+                       sided: str = "two") -> list[tuple[EffectEstimate, np.ndarray]]:
+    """Every kernel's observed estimates with p-values, and the defined null draws behind each.
 
-    The observed statistic and every null statistic come from one kernel.
+    The observed statistic and every null statistic come from one kernel, and
+    all kernels share one set of ``permutations`` draws. Without draws (or
+    without kernels) the estimates carry no p-value.
     """
-    kernel = ContrastKernel(panel, specs, table)
-    observed = kernel.estimates(*panel.index.observed, scaling)
-    stats = null_statistics(panel, kernel, permutations, master_seed, scaling, threads, blocks)
+    observed = [est for kernel in kernels
+                for est in kernel.estimates(*panel.index.observed, scaling)]
+    if permutations < 1 or not observed:
+        return [(est, np.empty(0)) for est in observed]
+    stats = null_statistics(panel, kernels, permutations, master_seed, scaling, threads, blocks)
     results = []
     for est, draws in zip(observed, stats):
         valid = _valid_draws(draws, est.spec)
@@ -213,40 +211,23 @@ def _permuted(panel: StudyPanel, table: MetricTable, specs: Sequence[ContrastSpe
     return results
 
 
-def permutation_suite(
-    panel: StudyPanel,
-    table: MetricTable,
-    specs: Sequence[ContrastSpec],
-    permutations: int,
-    master_seed: int,
-    scaling: str = "control_w1",
-    threads: int = 1,
-    blocks: Mapping[str, str] | None = None,
-    sided: str = "two",
-) -> list[EffectEstimate]:
-    """Observed estimates for all specs with shared-draw permutation p-values."""
-    if not specs:
-        return []
-    return [est for est, _ in _permuted(panel, table, specs, permutations, master_seed,
-                                        scaling, threads, blocks, sided)]
-
-
 def permutation_pvalue(
     panel: StudyPanel,
     spec: ContrastSpec,
     permutations: int,
     master_seed: int,
-    table: MetricTable | None = None,
     scaling: str = "control_w1",
     threads: int = 1,
     blocks: Mapping[str, str] | None = None,
     sided: str = "two",
 ) -> PermutationResult:
     """Full permutation result (observed, null draws, p) for one contrast."""
-    if table is None:
-        table = metric_table(panel, spec.layer, spec.variant_flags, (spec.metric,))
-    ((est, valid),) = _permuted(panel, table, [spec], permutations, master_seed,
-                                scaling, threads, blocks, sided)
+    if permutations < 1:
+        raise ValueError("permutations must be >= 1")
+    table = metric_table(panel, spec.layer, spec.variant_flags, (spec.metric,))
+    ((est, valid),) = permuted_estimates(panel, [ContrastKernel(panel, [spec], table)],
+                                         permutations, master_seed, scaling, threads,
+                                         blocks, sided)
     return PermutationResult(observed=est.pct_effect,
                              null_draws=tuple(float(x) for x in valid),
                              p_value=est.p_value, sided=sided, permutations=permutations,

@@ -36,7 +36,7 @@ from villagenet.effects import (
     group_index,
 )
 from villagenet.metrics import MetricTable
-from villagenet.randomization import AssignmentDraw, derive_stream
+from villagenet.randomization import derive_stream
 
 from network_oracle import bfs_distances, undirected_neighbors
 
@@ -290,8 +290,9 @@ def kernel_spillover_order(panel: StudyPanel, layer: str, mode: str = "exclusive
     return {panel.index.individuals[i]: str(labels[i]) for i in np.flatnonzero(members)}
 
 
-def draw_by_id(design: TreatmentDesign, draw: AssignmentDraw):
-    """(village dosages, household treatments) of a draw, by village and household id."""
-    flags = iter(draw.treated.tolist())
-    return (dict(zip(design.villages, draw.dosages.tolist())),
+def draw_by_id(design: TreatmentDesign, draw: tuple[np.ndarray, np.ndarray]):
+    """(village dosages, household treatments) of a drawn (dosages, treated) pair, by id."""
+    dosages, treated = draw
+    flags = iter(treated.tolist())
+    return (dict(zip(design.villages, dosages.tolist())),
             {v: {h: next(flags) for h in design.households(v)} for v in design.villages})

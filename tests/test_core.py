@@ -12,13 +12,13 @@ from villagenet.core import (
     build_panel,
     directed_union,
     dosage_group,
-    exclude_intra_household,
     infer_design,
     residual_network,
     treated_household_count,
 )
 from villagenet.networks import LayerNetwork, NetworkError
 
+from conftest import make_panel
 from ingest_oracle import (
     RosterRow,
     SurveyResponse,
@@ -217,24 +217,23 @@ class TestDerivedNetworks:
 
 
 class TestExcludeIntraHousehold:
+    """The variant reads each node's household from the panel's study index."""
+
+    @staticmethod
+    def _filtered(households, edges):
+        panel = make_panel({"v1": {"dosage": 0.0, "households": households}},
+                           {("v1", 1, "health"): edges})
+        return (panel.networks[("v1", 1, "health")],
+                panel.network("v1", 1, "health", ("exclude_intra_household",)))
+
     def test_spouse_edge_removed_cross_household_kept(self):
-        roster = {
-            "a": Individual("a", "h1", "v1", False),
-            "b": Individual("b", "h1", "v1", False),
-            "c": Individual("c", "h2", "v1", False),
-        }
-        net = LayerNetwork("v1", 1, "health", ("a", "b", "c"),
-                           frozenset({("a", "b"), ("a", "c")}))
-        filtered = exclude_intra_household(net, roster)
+        net, filtered = self._filtered({"h1": ["a", "b"], "h2": ["c"]},
+                                       [("a", "b"), ("a", "c")])
         assert filtered.edges == frozenset({("a", "c")})
         assert filtered.nodes == net.nodes
 
     def test_all_intra_household_leaves_isolates(self):
-        roster = {"a": Individual("a", "h1", "v1", False),
-                  "b": Individual("b", "h1", "v1", False)}
-        net = LayerNetwork("v1", 1, "health", ("a", "b"),
-                           frozenset({("a", "b"), ("b", "a")}))
-        filtered = exclude_intra_household(net, roster)
+        net, filtered = self._filtered({"h1": ["a", "b"]}, [("a", "b"), ("b", "a")])
         assert filtered.edges == frozenset()
         assert filtered.nodes == ("a", "b")
 

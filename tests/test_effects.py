@@ -114,6 +114,17 @@ class TestSpilloverOrder:
             assert "t1t" not in labels  # treated are outside the partition
             assert "c1a" not in labels  # control villages are outside
 
+    def test_kernel_groups_keep_only_reachable_nodes_in_higher_order(self):
+        # t1d (isolate) and t1e, t1f (a pair apart from the treated component)
+        # have no treated neighbor, but no treated node is reachable from them
+        panel = spillover_village_panel()
+        controls = ("c1a", "c1b", "c1c")
+        for kind, focal in (("spillover_first_order", ("t1a",)),
+                            ("spillover_higher_order", ("t1b",)),
+                            ("spillover", ("t1a", "t1b", "t1d", "t1e", "t1f"))):
+            spec = ContrastSpec(kind=kind, dosage_scope="all", layer="health", metric="degree")
+            assert kernel_groups(panel, spec) == (focal, controls), kind
+
     def test_distance_only_flag_includes_unreachable(self):
         panel = spillover_village_panel()
         labels = kernel_spillover_order(panel, "health", mode="distance_only",

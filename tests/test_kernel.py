@@ -24,11 +24,11 @@ from villagenet.effects import (
 )
 from villagenet.metrics import metric_table
 from villagenet.randomization import (
+    DesignIndex,
     RandomizationError,
     derive_stream,
     null_statistics,
     permutation_pvalue,
-    permutation_suite,
     permute_assignment,
 )
 
@@ -93,7 +93,7 @@ def test_null_statistics_match_oracle_draw_by_draw(seed, blocked, variant, metri
     blocks = blocks_for(panel, seed) if blocked else None
     specs = all_specs(metric, variant)
     table = metric_table(panel, "health", variant, (metric,))
-    got = null_statistics(panel, ContrastKernel(panel, specs, table), 15, seed, scaling,
+    got = null_statistics(panel, [ContrastKernel(panel, specs, table)], 15, seed, scaling,
                           blocks=blocks)
     want = draw_oracle.null_statistics(panel, table, specs, 15, seed, scaling, blocks)
     assert_same_statistics(got, want, metric)
@@ -130,8 +130,9 @@ def test_observed_estimates_and_groups_match_oracle(seed, blocked, variant, metr
 def test_permute_assignment_keeps_the_rng_call_order(seed, blocked):
     panel = random_panel(seed)
     blocks = blocks_for(panel, seed) if blocked else None
+    design = DesignIndex(panel.design, blocks)
     for j in range(5):
-        draw = permute_assignment(panel.design, derive_stream(seed, j), blocks)
+        draw = permute_assignment(design, derive_stream(seed, j))
         want = draw_oracle.permute_assignment(panel.design, derive_stream(seed, j), blocks)
         assert draw_oracle.draw_by_id(panel.design, draw) == want
 
@@ -140,15 +141,14 @@ def test_permute_assignment_keeps_the_rng_call_order(seed, blocked):
 @given(**CASES)
 def test_pvalues_at_least_one_over_m_plus_one(seed, blocked, variant, metric):
     panel = random_panel(seed)
-    table = metric_table(panel, "health", variant, (metric,))
     m = 19
     for spec in all_specs(metric, variant):
         try:
-            (est,) = permutation_suite(panel, table, [spec], m, seed,
-                                       blocks=blocks_for(panel, seed) if blocked else None)
+            result = permutation_pvalue(panel, spec, m, seed,
+                                        blocks=blocks_for(panel, seed) if blocked else None)
         except (EffectError, RandomizationError):
             continue
-        assert 1 / (m + 1) <= est.p_value <= 1.0
+        assert 1 / (m + 1) <= result.p_value <= 1.0
 
 
 @pytest.mark.parametrize("metric", ["degree", "closeness"])

@@ -12,14 +12,13 @@ from scipy import stats as sps
 from villagenet import io as vio
 from villagenet.core import CONTRAST_KINDS, DOSAGE_SCOPES, Individual, StudyPanel, TreatmentDesign
 from villagenet.effects import ContrastSpec, effect_suite
-from villagenet.metrics import metric_table
 from villagenet.networks import LayerNetwork
 from villagenet.randomization import (
+    DesignIndex,
     RandomizationError,
     derive_stream,
     permute_assignment,
     permutation_pvalue,
-    permutation_suite,
     pvalue_from_draws,
 )
 from villagenet.synth import SyntheticScenario, generate_panel
@@ -62,17 +61,19 @@ def two_arm_design():
 class TestPermuteAssignment:
     def test_two_villages_two_possible_stage1_draws(self):
         design = two_arm_design()
+        index = DesignIndex(design)
         seen = set()
         for i in range(64):
-            draw = permute_assignment(design, derive_stream(3, i))
+            draw = permute_assignment(index, derive_stream(3, i))
             dosages, treatments = draw_by_id(design, draw)
             seen.add((dosages["a"], dosages["b"]))
         assert seen == {(0.0, 1.0), (1.0, 0.0)}
 
     def test_zero_dosage_village_never_treated(self):
         design = two_arm_design()
+        index = DesignIndex(design)
         for i in range(32):
-            draw = permute_assignment(design, derive_stream(4, i))
+            draw = permute_assignment(index, derive_stream(4, i))
             dosages, treatments = draw_by_id(design, draw)
             for village, alpha in dosages.items():
                 n_treated = sum(treatments[village].values())
@@ -90,8 +91,9 @@ class TestPermuteAssignment:
              "d": {"ha": True, "hb": False}},
         )
         want = Counter(design.village_dosages.values())
+        index = DesignIndex(design)
         for i in range(10_000):
-            draw = permute_assignment(design, derive_stream(5, i))
+            draw = permute_assignment(index, derive_stream(5, i))
             dosages, treatments = draw_by_id(design, draw)
             assert Counter(dosages.values()) == want
 
@@ -102,15 +104,16 @@ class TestPermuteAssignment:
              "c": {"h3": False}, "d": {"h4": True}},
         )
         blocks = {"a": "x", "b": "x", "c": "y", "d": "y"}
+        index = DesignIndex(design, blocks)
         for i in range(50):
-            draw = permute_assignment(design, derive_stream(6, i), blocks=blocks)
+            draw = permute_assignment(index, derive_stream(6, i))
             dosages, treatments = draw_by_id(design, draw)
             assert {dosages["a"], dosages["b"]} == {0.0, 1.0}
             assert {dosages["c"], dosages["d"]} == {0.0, 1.0}
 
     def test_missing_block_label_errors(self):
         with pytest.raises(RandomizationError, match="block"):
-            permute_assignment(two_arm_design(), derive_stream(1, 0), blocks={"a": "x"})
+            DesignIndex(two_arm_design(), {"a": "x"})
 
 
 class TestPvalueFormula:
@@ -179,11 +182,9 @@ class TestPermutationPvalue:
 
     def test_suite_matches_single_spec(self):
         panel = _perm_panel()
-        table = metric_table(panel, "health")
-        suite = permutation_suite(panel, table, [self.SPEC], permutations=25,
-                                  master_seed=9)
-        single = permutation_pvalue(panel, self.SPEC, permutations=25,
-                                    master_seed=9, table=table)
+        suite = effect_suite(panel, ["health"], ["degree"], ["all"], ["total"],
+                             permutations=25, master_seed=9)
+        single = permutation_pvalue(panel, self.SPEC, permutations=25, master_seed=9)
         assert suite[0].p_value == single.p_value
 
     def test_all_draws_skipped_errors(self):
@@ -311,3 +312,59 @@ class TestRenaming:
         path = tmp_path_factory.mktemp("renamed") / "panel.json"
         vio.write_panel(_renamed(panel, ind, hh, vil), path)
         assert repr(_suite(vio.read_panel(path))) == _base_suite()
+
+
+class TestSharedDraws:
+    """One run draws each null assignment once, and every (layer, variant) kernel reads it."""
+
+    LAYERS = ("health", "aggregated")
+    VARIANTS = ((), ("exclude_intra_household",))
+    M = 12
+
+    def _suite(self, panel, layers, variants, threads, blocks):
+        return effect_suite(panel, layers, ["degree", "closeness"], ["all"],
+                            ["overall", "total", "spillover", "direct"], variants,
+                            permutations=self.M, master_seed=4, threads=threads, blocks=blocks)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_one_draw_loop_matches_per_kernel_runs(self, threads, blocked, monkeypatch):
+        import concurrent.futures
+        import multiprocessing
+
+        from villagenet import randomization
+
+        panel = _rename_base()
+        blocks = ({v: "xy"[k % 2] for k, v in enumerate(panel.villages)} if blocked
+                  else None)
+        draws = multiprocessing.get_context("fork").Value("i", 0)  # shared with forked workers
+        counts = Counter()
+        real_draw, real_compile = (randomization.permute_assignment,
+                                   randomization.DesignIndex.__init__)
+        real_pool = concurrent.futures.ProcessPoolExecutor
+
+        def permute_assignment(*args):
+            with draws.get_lock():
+                draws.value += 1
+            return real_draw(*args)
+
+        def compile_design(*args):
+            counts["designs"] += 1
+            real_compile(*args)
+
+        class Pool(real_pool):
+            def __init__(self, *args, **kwargs):
+                counts["pools"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(randomization, "permute_assignment", permute_assignment)
+        monkeypatch.setattr(randomization.DesignIndex, "__init__", compile_design)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        shared = self._suite(panel, self.LAYERS, self.VARIANTS, threads, blocks)
+        assert draws.value == self.M
+        assert counts == Counter(designs=1, pools=int(threads > 1))
+        assert len(shared) == 2 * 2 * 2 * 4
+
+        separate = [est for layer in self.LAYERS for variant in self.VARIANTS
+                    for est in self._suite(panel, [layer], [variant], threads, blocks)]
+        assert repr(shared) == repr(separate)
