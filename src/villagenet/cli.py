@@ -308,7 +308,7 @@ def run_dyadic(config: dict, outdir: Path) -> None:
     layer = str(config["layer"])
     schemes = _parse_list(str(config["schemes"]))
     outcomes = _parse_list(str(config["outcomes"]))
-    data_all = dyad_dataset(panel, layer, sample="all")
+    data_all = dyad_dataset(panel, layer)
     for outcome in outcomes:
         for scheme in schemes:
             fit = fit_logistic_irls(data_all, outcome, scheme)
@@ -384,11 +384,10 @@ def run_doseresponse(config: dict, outdir: Path) -> None:
     for village, rows in zip(index.villages, index.members):
         if group != "overall":
             rows = rows[index.observed[1][rows] == (group == "treated")]
-        members = [index.individuals[i] for i in rows]
-        if not members:
+        if not rows.size:
             continue
-        m1, n1 = table.group_mean(1, metric, members)
-        m3, n3 = table.group_mean(3, metric, members)
+        m1, n1 = table.group_mean(1, metric, rows)
+        m3, n3 = table.group_mean(3, metric, rows)
         if n1 == 0 or n3 == 0:
             continue   # no defined value at one wave
         points.append((panel.design.village_dosages[village], m3 - m1))

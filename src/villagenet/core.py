@@ -6,17 +6,18 @@ two-wave panel and reports every exclusion. `build_panel` then constructs one
 directed network per (village, wave, layer) from the surviving name-generator
 responses; derived networks (aggregated, directed union, residual,
 intra-household-excluded) are resolved on demand from those base layers.
-`StudyPanel.index` is the study-wide integer index (`StudyIndex`) that the
-analyses share, and `has_treated_neighbor` the one wave-1 exposure rule.
+Every `StudyPanel` checks its networks against its study-wide integer index
+(`StudyIndex`); ingested and read panels take their design from `infer_design`,
+the one design rule. `has_treated_neighbor` is the one wave-1 exposure rule.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import product, repeat
 from math import floor
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Collection, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -248,16 +249,18 @@ class TreatmentDesign:
 
 
 def infer_design(
-    individuals: Iterable[Individual],
+    individuals: Collection[Individual],
     declared_dosages: Mapping[str, float] | None = None,
+    infer_missing: bool = True,
 ) -> TreatmentDesign:
-    """Derive the treatment design from individual-level roster flags.
+    """The design of individual-level flags: households share a flag and a village.
 
-    Declared dosages (from a roster dosage column) are validated against the
-    treated-household counts. Without them, the dosage is the allowed arm
-    whose rounded household count reproduces the observed treated count,
-    nearest to the empirical fraction when several qualify; that inference is
-    ambiguous for some household counts, which is why declaring is preferred.
+    Declared dosages (a roster dosage column, or an archive's village_dosages)
+    must name villages with members and match their treated-household counts.
+    An undeclared village is an error unless ``infer_missing``; its dosage is
+    then the allowed arm whose rounded household count reproduces the treated
+    count, nearest to the empirical fraction when several qualify (ambiguous
+    for some household counts, which is why declaring is preferred).
     """
     by_village: dict[str, dict[str, bool]] = {}
     for ind in individuals:
@@ -269,6 +272,10 @@ def infer_design(
             )
         households[ind.household_id] = ind.treated
 
+    declared = declared_dosages or {}
+    memberless = sorted(set(declared) - set(by_village))
+    if memberless:
+        raise IngestionError(f"village {memberless[0]}: declared dosage but no members")
     dosages: dict[str, float] = {}
     for village, households in sorted(by_village.items()):
         n = len(households)
@@ -279,17 +286,23 @@ def infer_design(
                 f"village {village}: {n_treated}/{n} treated households matches no "
                 f"allowed dosage arm"
             )
-        if declared_dosages is not None and village in declared_dosages:
-            declared = declared_dosages[village]
-            if declared not in candidates:
+        if village in declared:
+            if declared[village] not in candidates:
                 raise IngestionError(
-                    f"village {village}: declared dosage {declared} inconsistent with "
-                    f"{n_treated}/{n} treated households"
+                    f"village {village}: declared dosage {declared[village]} inconsistent "
+                    f"with {n_treated}/{n} treated households"
                 )
-            dosages[village] = declared
+            dosages[village] = declared[village]
+        elif not infer_missing:
+            raise IngestionError(f"village {village}: no declared dosage")
         else:
             fraction = n_treated / n
             dosages[village] = min(candidates, key=lambda a: (abs(a - fraction), a))
+
+    household_villages: dict[str, str] = {}
+    for ind in individuals:
+        if household_villages.setdefault(ind.household_id, ind.village_id) != ind.village_id:
+            raise IngestionError(f"household {ind.household_id} spans two villages")
     return TreatmentDesign(dosages, by_village)
 
 
@@ -420,7 +433,8 @@ class StudyIndex:
     k's members in its networks' node order; households are numbered village
     by village, sorted within each, as `randomization.DesignIndex` draws them.
     ``observed`` is the panel's own assignment as (dosage per village,
-    treated flag per individual). Reach it as `StudyPanel.index`.
+    treated flag per individual). Each `StudyPanel` builds its own once, as
+    `StudyPanel.index`.
     """
 
     individuals: tuple[str, ...]
@@ -453,7 +467,7 @@ _T = TypeVar("_T")
 
 @dataclass
 class StudyPanel:
-    """Immutable bundle of individuals, design, and per-wave layer networks."""
+    """Individuals, design and per-wave layer networks, checked against ``index`` when built."""
 
     individuals: dict[str, Individual]
     design: TreatmentDesign
@@ -461,30 +475,22 @@ class StudyPanel:
 
     def __post_init__(self):
         self._compiled: dict[tuple, object] = {}
-        grouped: dict[str, list[str]] = {}
-        for ind in self.individuals.values():
-            grouped.setdefault(ind.village_id, []).append(ind.id)
-        self._members: dict[str, tuple[str, ...]] = {
-            vid: tuple(sorted(ids)) for vid, ids in grouped.items()
-        }
+        self.index = index = StudyIndex.of(self)
+        members = {v: tuple(map(index.individuals.__getitem__, rows.tolist()))
+                   for v, rows in zip(index.villages, index.members)}
         for (village, wave, layer), net in self.networks.items():
-            if net.nodes != self._members[village]:
+            if net.nodes != members.get(village):
                 raise IngestionError(
                     f"network ({village}, {wave}, {layer}) node set does not match "
                     f"the village's included individuals"
                 )
+        for village, wave, layer in product(index.villages, WAVES, BASE_LAYERS):
+            if (village, wave, layer) not in self.networks:
+                raise IngestionError(f"no {layer} network for village {village} wave {wave}")
 
     @property
     def villages(self) -> tuple[str, ...]:
-        return self.design.villages
-
-    def members(self, village_id: str) -> tuple[str, ...]:
-        return self._members[village_id]
-
-    @property
-    def index(self) -> StudyIndex:
-        """The study-wide integer index, built once."""
-        return self.compiled(("study_index",), lambda: StudyIndex.of(self))
+        return self.index.villages
 
     def compiled(self, key: tuple, build: Callable[[], _T]) -> _T:
         """A structure derived from this panel (e.g. a compiled index), built once per key."""
@@ -564,14 +570,7 @@ def build_panel(
                 f"village {village}: conflicting declared dosages {prev} and {dosage}"
             )
         declared[village] = dosage
-    design = infer_design(individuals.values(), declared or None)
-
-    household_villages: dict[str, str] = {}
-    for ind in individuals.values():
-        prev = household_villages.get(ind.household_id)
-        if prev is not None and prev != ind.village_id:
-            raise IngestionError(f"household {ind.household_id} spans two villages")
-        household_villages[ind.household_id] = ind.village_id
+    design = infer_design(individuals.values(), declared)
 
     wave = responses.wave
     code = responses.question_id.lookup(question_code)

@@ -31,7 +31,6 @@ log = logging.getLogger(__name__)
 COARSE_CATEGORIES = ("UoUo", "UU", "UT", "TU", "TT")
 REFINEMENT_LABELS = ("Uh", "U1", "To", "T1")
 FINE_CATEGORIES = ("UoUo",) + tuple(a + b for a in REFINEMENT_LABELS for b in REFINEMENT_LABELS)
-SAMPLES = ("existing_w1", "nonexisting_w1", "all")
 
 # Fine code 1 + 4*r_ego + r_alter -> coarse code 1 + 2*treated_ego + treated_alter;
 # refinement codes 2 and 3 (To, T1) are the treated ones.
@@ -39,9 +38,8 @@ _FINE_TO_COARSE = np.array([0] + [1 + 2 * (a // 2) + b // 2
                                   for a in range(4) for b in range(4)])
 # The coarse category name of each fine category, in FINE_CATEGORIES order.
 COARSE_OF_FINE = tuple(COARSE_CATEGORIES[c] for c in _FINE_TO_COARSE)
-# A pair's link state is 2*link_w1 + link_w3; the states each sample keeps.
-_SAMPLE_STATES = {"existing_w1": (2, 3), "nonexisting_w1": (0, 1), "all": (0, 1, 2, 3)}
-# Per outcome: the states that are trials and the states that are successes.
+# A pair's link state is 2*link_w1 + link_w3. Per outcome: the states that are
+# trials and the states that are successes.
 _OUTCOME_STATES = {
     "dissolution": ((2, 3), (2,)),
     "formation": ((0, 1), (1,)),
@@ -87,15 +85,14 @@ def _villages(panel: StudyPanel, layer: str) -> Iterator[tuple]:
 
 @dataclass
 class DyadDataset:
-    """Dyad counts for one layer and sample.
+    """Dyad counts for one layer.
 
     ``counts[f, s]`` is the number of ordered within-village pairs of fine
-    category ``FINE_CATEGORIES[f]`` in link state ``s = 2*link_w1 + link_w3``;
-    states outside the sample count zero. Its length is the number of dyads.
+    category ``FINE_CATEGORIES[f]`` in link state ``s = 2*link_w1 + link_w3``.
+    Its length is the number of dyads.
     """
 
     layer: str
-    sample: str
     counts: np.ndarray
 
     def __len__(self) -> int:
@@ -113,26 +110,26 @@ class DyadDataset:
 
 
 def dyad_dataset(panel: StudyPanel, layer: str, sample: str = "all") -> DyadDataset:
-    """Counts of the ordered within-village dyads matching the sample filter.
+    """Counts of all ordered within-village dyads, by fine category and link state.
 
     Per village and link state with off-diagonal mask M, the refinement
     one-hot matrix R (n x 4) gives the 4 x 4 fine-category counts as R'MR.
+    ``sample`` must be "all": each outcome picks its link states from the counts.
     """
-    if sample not in SAMPLES:
+    if sample != "all":
         raise DyadicError(f"unknown dyad sample {sample}")
-    states = _SAMPLE_STATES[sample]
     counts = np.zeros((len(FINE_CATEGORIES), 4), dtype=np.int64)
     for _, _, a1, a3, codes in _villages(panel, layer):
         state = 2 * a1.astype(np.int8) + a3
         np.fill_diagonal(state, -1)
         onehot = None if codes is None else np.eye(4)[codes]
-        for s in states:
+        for s in range(4):
             mask = state == s
             if onehot is None:
                 counts[0, s] += np.count_nonzero(mask)
             else:
                 counts[1:, s] += (onehot.T @ (mask @ onehot)).astype(np.int64).reshape(16)
-    return DyadDataset(layer=layer, sample=sample, counts=counts)
+    return DyadDataset(layer=layer, counts=counts)
 
 
 def dyad_rows(panel: StudyPanel,
@@ -408,14 +405,14 @@ def estimand_correspondence(
     UU vs the spillover contrast on in-links from untreated, UT/TU vs the
     total-effect contrasts on in-links from / out-links to untreated, and TT
     vs treated in-links from treated against the control baseline. ``data``
-    may pass in the layer's already built "all" dyad sample, so it is not
-    built twice.
+    may pass in the layer's already built dyad dataset, so it is not built
+    twice.
     """
     if data is None:
-        data = dyad_dataset(panel, layer, sample="all")
-    elif data.layer != layer or data.sample != "all":
-        raise DyadicError(f"correspondence needs the 'all' dyad sample of layer {layer}, "
-                          f"not the '{data.sample}' sample of layer {data.layer}")
+        data = dyad_dataset(panel, layer)
+    elif data.layer != layer:
+        raise DyadicError(f"correspondence needs the dyad dataset of layer {layer}, "
+                          f"not of layer {data.layer}")
     fit = fit_logistic_irls(data, "wave3_link", "coarse")
     rates, treated, control = _partner_rates(panel, layer, 3)
     untreated_in_treated = ~treated & ~control

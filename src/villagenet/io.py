@@ -4,7 +4,8 @@ All inputs are UTF-8 comma-delimited with a header row (a byte-order mark is
 allowed); each is read once and split into columns, and validation errors cite
 1-based line numbers. Every export starts with a format-version line and is
 written with sorted, fully deterministic content so byte-level comparison is a
-meaningful reproducibility check.
+meaningful reproducibility check. The archive reader applies ingest's panel
+rules (`core.infer_design`, `core.StudyPanel`), with errors naming the file.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import gc
 import hashlib
 import json
 import math
+from collections import Counter
 from contextlib import contextmanager
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -24,7 +26,6 @@ import numpy as np
 
 from .core import (
     BASE_LAYERS,
-    WAVES,
     CodedColumn,
     ExclusionReport,
     IngestionError,
@@ -33,7 +34,7 @@ from .core import (
     ResponseTable,
     RosterTable,
     StudyPanel,
-    TreatmentDesign,
+    infer_design,
 )
 from .networks import LayerNetwork, NetworkError
 
@@ -358,7 +359,7 @@ def _individuals_json(panel: StudyPanel) -> str:
     """The individuals array, indented as a member of the top-level panel object."""
     enc = encode_basestring_ascii
     records = []
-    for iid in sorted(panel.individuals):
+    for iid in panel.index.individuals:
         ind = panel.individuals[iid]
         covariates = "{}"
         if ind.covariates:   # the object as json indents it, shifted to its depth
@@ -393,16 +394,26 @@ def _networks_json(panel: StudyPanel) -> str:
 
 
 def read_panel(path: str | Path) -> StudyPanel:
-    """Load a panel archive; every village needs a network for each wave and base layer."""
+    """Load a panel archive through ingest's panel rules; errors name the file.
+
+    Ids are unique, and ``village_dosages`` declares exactly the villages with members.
+    """
     with _gc_paused():
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        if doc.get("kind") != "panel":
-            raise IngestionError(f"{path}: not a panel archive")
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise IngestionError(
-                f"{path}: format version {doc.get('format_version')} unsupported"
-            )
+        try:
+            return _panel_of(doc)
+        except IngestionError as exc:
+            raise IngestionError(f"{path}: {exc}") from None
+
+
+def _panel_of(doc) -> StudyPanel:
+    if not isinstance(doc, dict) or doc.get("kind") != "panel":
+        raise IngestionError("not a panel archive")
+    if doc.get("format_version") != FORMAT_VERSION:
+        raise IngestionError(f"format version {doc.get('format_version')} unsupported")
+    records = doc.get("individuals", ())
+    try:
         individuals = {
             rec["id"]: Individual(
                 id=rec["id"],
@@ -411,40 +422,42 @@ def read_panel(path: str | Path) -> StudyPanel:
                 treated=bool(rec["treated"]),
                 covariates=rec.get("covariates") or None,
             )
-            for rec in doc["individuals"]
+            for rec in records
         }
-        assignments: dict[str, dict[str, bool]] = {}
-        for ind in individuals.values():
-            assignments.setdefault(ind.village_id, {})[ind.household_id] = ind.treated
-        design = TreatmentDesign(
-            {v: float(a) for v, a in doc["village_dosages"].items()}, assignments
-        )
-        members: dict[str, list[str]] = {}
-        for iid in sorted(individuals):
-            members.setdefault(individuals[iid].village_id, []).append(iid)
-        index = {v: {iid: k for k, iid in enumerate(ids)} for v, ids in members.items()}
-        networks = {}
-        for key, edges in doc["networks"].items():
-            village, wave, layer = _network_key(path, key)
-            if village not in index:
-                raise IngestionError(f"{path}: network {key} names unknown village {village}")
-            if set(map(len, edges)) - {2}:
-                raise IngestionError(f"{path}: network {key}: every edge must be a pair of ids")
-            ends = list(chain.from_iterable(edges))
-            try:
-                flat = np.array(itemgetter(*ends)(index[village]) if ends else (), dtype=np.intp)
-            except KeyError as exc:
-                raise NetworkError(f"edge endpoint {exc.args[0]} not a member of "
-                                   f"{village}/{layer}") from None
-            networks[(village, wave, layer)] = LayerNetwork(
-                village, wave, layer, members[village], pairs=(flat[0::2], flat[1::2]))
-        for village in design.villages:
-            for wave in WAVES:
-                for layer in BASE_LAYERS:
-                    if (village, wave, layer) not in networks:
-                        raise IngestionError(
-                            f"{path}: no {layer} network for village {village} wave {wave}")
-        return StudyPanel(individuals, design, networks)
+    except KeyError as exc:   # the first record without a key, the key it lacks first
+        k, rec = next((k, r) for k, r in enumerate(records, start=1) if exc.args[0] not in r)
+        name = f"individual {rec['id']}" if "id" in rec else f"individual record {k}"
+        raise IngestionError(f"{name} has no {exc.args[0]}") from None
+    if len(individuals) != len(records):
+        repeated = [i for i, n in Counter(rec["id"] for rec in records).items() if n > 1]
+        raise IngestionError(f"individual {repeated[0]} listed twice")
+    design = infer_design(individuals.values(),
+                          {v: float(a) for v, a in doc.get("village_dosages", {}).items()},
+                          infer_missing=False)
+    members: dict[str, list[str]] = {}
+    for iid in sorted(individuals):
+        members.setdefault(individuals[iid].village_id, []).append(iid)
+    index = {v: {iid: k for k, iid in enumerate(ids)} for v, ids in members.items()}
+    networks = {}
+    for key, edges in doc.get("networks", {}).items():
+        try:
+            village, wave, layer = key.split("|")
+            wave = int(wave)
+        except ValueError:
+            raise IngestionError(f"network key {key!r} is not village|wave|layer") from None
+        if village not in index:
+            raise IngestionError(f"network {key} names unknown village {village}")
+        if set(map(len, edges)) - {2}:
+            raise IngestionError(f"network {key}: every edge must be a pair of ids")
+        ends = list(chain.from_iterable(edges))
+        try:
+            flat = np.array(itemgetter(*ends)(index[village]) if ends else (), dtype=np.intp)
+        except KeyError as exc:
+            raise NetworkError(f"edge endpoint {exc.args[0]} not a member of "
+                               f"{village}/{layer}") from None
+        networks[(village, wave, layer)] = LayerNetwork(
+            village, wave, layer, members[village], pairs=(flat[0::2], flat[1::2]))
+    return StudyPanel(individuals, design, networks)
 
 
 @contextmanager
@@ -461,14 +474,6 @@ def _gc_paused():
     finally:
         if enabled:
             gc.enable()
-
-
-def _network_key(path: str | Path, key: str) -> tuple[str, int, str]:
-    try:
-        village, wave, layer = key.split("|")
-        return village, int(wave), layer
-    except ValueError:
-        raise IngestionError(f"{path}: network key {key!r} is not village|wave|layer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +610,7 @@ def write_dyads(rows: Iterable[tuple[str, str, str, str, str, bool, bool]],
 
 def write_roster_csv(panel: StudyPanel, path: str | Path) -> None:
     lines = []
-    for iid in sorted(panel.individuals):
+    for iid in panel.index.individuals:
         ind = panel.individuals[iid]
         alpha = panel.design.village_dosages[ind.village_id]
         lines.append(f"{ind.id},{ind.household_id},{ind.village_id},"

@@ -137,9 +137,6 @@ class MetricTable:
     values: dict[tuple[int, str], np.ndarray]
     flags: list[str] = field(default_factory=list)
 
-    def __post_init__(self):
-        self.index = {ind: i for i, ind in enumerate(self.individuals)}
-
     @property
     def metrics(self) -> tuple[str, ...]:
         return tuple(m for m in METRICS if (WAVES[0], m) in self.values)
@@ -147,11 +144,9 @@ class MetricTable:
     def column(self, wave: int, metric: str) -> np.ndarray:
         return self.values[(wave, metric)]
 
-    def group_mean(self, wave: int, metric: str, ids: Sequence[str]) -> tuple[float, int]:
-        """Mean over a group excluding undefined entries; returns (mean, n_used)."""
-        col = self.values[(wave, metric)]
-        idx = [self.index[i] for i in ids]
-        vals = col[idx]
+    def group_mean(self, wave: int, metric: str, rows: np.ndarray) -> tuple[float, int]:
+        """Mean over the rows ``rows`` excluding undefined entries; returns (mean, n_used)."""
+        vals = self.values[(wave, metric)][rows]
         defined = vals[~np.isnan(vals)]
         if defined.size == 0:
             return float("nan"), 0

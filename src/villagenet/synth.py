@@ -435,11 +435,15 @@ def replicate_study(
         sub = [r for r in rows if r.spec_label == label]
         estimates = np.array([r.estimate_pct for r in sub])
         oracles = np.array([r.oracle_pct for r in sub])
+        defined = not np.isnan(oracles).all()
+        if not defined:
+            log.warning("%s: no oracle value, so mean_oracle and bias are NA", label)
+        mean_oracle = float(np.nanmean(oracles)) if defined else float("nan")
         entry: dict[str, float] = {
             "replicates": float(len(sub)),
             "mean_estimate": float(estimates.mean()),
-            "mean_oracle": float(np.nanmean(oracles)),
-            "bias": float(estimates.mean() - np.nanmean(oracles)),
+            "mean_oracle": mean_oracle,
+            "bias": float(estimates.mean() - mean_oracle),
         }
         signed = [(e, o) for e, o in zip(estimates, oracles)
                   if not math.isnan(o) and o != 0.0]

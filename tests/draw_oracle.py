@@ -3,7 +3,8 @@
 One draw is a household-level dict re-randomization, expanded to a set of
 treated individual ids; groups are classified by set lookups and a
 multi-source BFS per village, and the DiD is computed by `did_statistic` from
-the groups' id lists (one `MetricTable.group_mean` per group and wave).
+the groups' id lists (one `MetricTable.group_mean` per group and wave, over
+the table rows of the group's ids).
 `villagenet` evaluates the same draws with integer masks
 (`effects.ContrastKernel`, `randomization.permute_assignment`); the tests
 require both to agree draw by draw.
@@ -16,6 +17,7 @@ back by id, so that tests can state groups and statistics in ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -54,10 +56,27 @@ def observed_assignment(panel: StudyPanel) -> Assignment:
                       frozenset(i for i, ind in panel.individuals.items() if ind.treated))
 
 
+def members(panel: StudyPanel, village: str) -> tuple[str, ...]:
+    """A village's member ids, sorted: the node order of its networks."""
+    return panel.networks[(village, 1, "health")].nodes
+
+
+@lru_cache(maxsize=8)
+def _row_of(individuals: tuple[str, ...]) -> dict[str, int]:
+    return {ind: k for k, ind in enumerate(individuals)}
+
+
+def rows_of(table: MetricTable, ids: Sequence[str]) -> np.ndarray:
+    """The table rows of ``ids``, in their order."""
+    row = _row_of(table.individuals)
+    return np.array([row[i] for i in ids], dtype=np.intp)
+
+
 def group_change(table: MetricTable, metric: str, ids: Sequence[str]) -> tuple[float, float, int]:
     """(wave-1 mean, wave-3 mean, min defined count) with NaNs excluded per wave."""
-    m1, n1 = table.group_mean(1, metric, ids)
-    m3, n3 = table.group_mean(3, metric, ids)
+    rows = rows_of(table, ids)
+    m1, n1 = table.group_mean(1, metric, rows)
+    m3, n3 = table.group_mean(3, metric, rows)
     if n1 == 0 or n3 == 0:
         raise EffectError(f"group of {len(ids)} has no defined {metric} values")
     return m1, m3, min(n1, n3)
@@ -95,7 +114,7 @@ def did_statistic(table: MetricTable, metric: str, focal, comparison, control_re
     c1, c3, _ = group_change(table, metric, comparison)
     raw = (f3 - f1) - (c3 - c1)
     ref_wave = 1 if scaling == "control_w1" else 3
-    ref, n_ref = table.group_mean(ref_wave, metric, control_reference)
+    ref, n_ref = table.group_mean(ref_wave, metric, rows_of(table, control_reference))
     if n_ref == 0 or ref == 0.0:
         raise EffectError(
             f"unscalable statistic: control wave-{ref_wave} mean of {metric} is "
@@ -184,9 +203,9 @@ def classify_groups(panel: StudyPanel, spec: ContrastSpec, asg: Assignment):
     if not in_scope:
         raise EffectError(f"no treated villages in scope for {spec.label()}")
     control_untreated = tuple(
-        i for v in controls for i in panel.members(v) if i not in asg.treated
+        i for v in controls for i in members(panel, v) if i not in asg.treated
     )
-    scope_members = tuple(i for v in in_scope for i in panel.members(v))
+    scope_members = tuple(i for v in in_scope for i in members(panel, v))
     if spec.kind == "overall":
         focal, comparison = scope_members, control_untreated
     elif spec.kind == "total":
@@ -216,7 +235,7 @@ def evaluate(panel: StudyPanel, table: MetricTable, spec: ContrastSpec,
     """(raw, pct, n_focal, n_comparison); EffectError when undefined."""
     asg = asg if asg is not None else observed_assignment(panel)
     focal, comparison = classify_groups(panel, spec, asg)
-    control = tuple(i for v in control_villages(asg) for i in panel.members(v))
+    control = tuple(i for v in control_villages(asg) for i in members(panel, v))
     raw, pct = did_statistic(table, spec.metric, focal, comparison, control, scaling)
     return raw, pct, len(focal), len(comparison)
 

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 from villagenet.core import StudyPanel
 from villagenet.dyadic import DyadicError
 
-from draw_oracle import Assignment, observed_assignment
+from draw_oracle import Assignment, members, observed_assignment
 from network_oracle import has_edge, undirected_neighbors
 
 
@@ -85,8 +85,8 @@ def enumerate_dyads(
     for village in panel.villages:
         net1 = panel.network(village, 1, layer, variant_flags)
         net3 = panel.network(village, 3, layer, variant_flags)
-        for ego in panel.members(village):
-            for alter in panel.members(village):
+        for ego in members(panel, village):
+            for alter in members(panel, village):
                 if ego == alter:
                     continue
                 w1 = has_edge(net1, ego, alter)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -102,6 +103,23 @@ class TestIngest:
         report = (out / "exclusions.csv").read_text()
         assert "individual,moved,1" in report
 
+    def test_household_in_two_villages_exit_2(self, tmp_path, capsys):
+        roster = tmp_path / "roster.csv"
+        roster.write_text(
+            "individual_id,household_id,village_id,treated,wave1_present,wave3_present\n"
+            "a,h1,v1,0,1,1\nb,h2,v1,0,1,1\nc,h1,v2,0,1,1\n")
+        edges = tmp_path / "edges.csv"
+        edges.write_text("wave,village_id,question_id,ego_id,alter_id\n")
+        layers = tmp_path / "layers.csv"
+        layers.write_text("question_id,layer,inverted\n"
+                          "health_advice_get,health,0\n"
+                          "friend_personal,friendship,0\n"
+                          "money_borrow,financial,0\n")
+        code = main(["ingest", "--roster", str(roster), "--edges", str(edges),
+                     "--layer-map", str(layers), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: household h1 spans two villages\n" in capsys.readouterr().err
+
     def _ingest_sim(self, sim, roster: Path, out: Path) -> int:
         return main(["ingest", "--roster", str(roster),
                      "--edges", str(sim["sim"] / "edges.csv"),
@@ -131,6 +149,68 @@ class TestPanelStructure:
         code = main(["metrics", "--panel", str(panel), "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"no financial network for village {village} wave 1" in capsys.readouterr().err
+
+
+ANALYSES = ("metrics", "effects", "permtest", "dyadic", "wasserstein", "doseresponse")
+
+
+class TestArchiveFaults:
+    """A panel archive that breaks a panel rule exits 2 on every analysis command."""
+
+    def _exits_2(self, doc, tmp_path, capsys, command, message):
+        panel = tmp_path / "panel.json"
+        panel.write_text(json.dumps(doc))
+        code = main([command, "--panel", str(panel), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {panel}: {message}\n" in err
+
+    @staticmethod
+    def _doc(sim):
+        return json.loads((sim["sim"] / "panel.json").read_text())
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_mixed_household(self, sim, tmp_path, capsys, command):
+        doc = self._doc(sim)
+        sizes = Counter(r["household_id"] for r in doc["individuals"] if r["treated"])
+        household = min(h for h, n in sizes.items() if n > 1)
+        next(r for r in doc["individuals"] if r["household_id"] == household)["treated"] = False
+        self._exits_2(doc, tmp_path, capsys, command,
+                      f"household {household} mixes treated and untreated members")
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_household_in_two_villages(self, sim, tmp_path, capsys, command):
+        doc = self._doc(sim)
+        first, second = sorted(doc["village_dosages"])[:2]
+        home = {r["household_id"]: r for r in doc["individuals"] if r["village_id"] == first}
+        moved = next(r for r in doc["individuals"] if r["village_id"] == second)
+        shared = min(h for h, r in home.items() if r["treated"] == moved["treated"])
+        for r in doc["individuals"]:
+            if r["household_id"] == moved["household_id"]:
+                r["household_id"] = shared
+        self._exits_2(doc, tmp_path, capsys, command, f"household {shared} spans two villages")
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_undeclared_village(self, sim, tmp_path, capsys, command):
+        doc = self._doc(sim)
+        village = sorted(doc["village_dosages"])[-1]
+        del doc["village_dosages"][village]
+        self._exits_2(doc, tmp_path, capsys, command, f"village {village}: no declared dosage")
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_record_without_household(self, sim, tmp_path, capsys, command):
+        doc = self._doc(sim)
+        record = doc["individuals"][3]
+        del record["household_id"]
+        self._exits_2(doc, tmp_path, capsys, command,
+                      f"individual {record['id']} has no household_id")
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_duplicate_individual(self, sim, tmp_path, capsys, command):
+        doc = self._doc(sim)
+        record = dict(doc["individuals"][3])
+        doc["individuals"].append(record)
+        self._exits_2(doc, tmp_path, capsys, command, f"individual {record['id']} listed twice")
 
 
 class TestSubcommands:
@@ -192,6 +272,16 @@ class TestSubcommands:
                      "--replicates", "2", "--out", str(out)]) == 0
         assert (out / "calibration.csv").exists()
         assert (out / "summary.csv").exists()
+
+    def test_replicate_names_specs_without_oracle(self, sim, tmp_path):
+        run = subprocess.run(
+            [sys.executable, "-m", "villagenet.cli", "replicate", "--scenario",
+             str(sim["scenario"]), "--metrics", "degree,closeness", "--out", str(tmp_path)],
+            env=_subprocess_env(), capture_output=True, text=True)
+        assert run.returncode == 0
+        assert "RuntimeWarning" not in run.stderr
+        assert run.stderr == ("WARNING villagenet.synth: total/all/health/closeness/none: "
+                              "no oracle value, so mean_oracle and bias are NA\n")
 
     @pytest.mark.parametrize("command", ["effects", "replicate"])
     def test_negative_permutations_exit_2(self, sim, command, capsys):
@@ -276,13 +366,18 @@ class TestSubcommands:
                 in capsys.readouterr().err)
 
 
+def _subprocess_env() -> dict[str, str]:
+    """The environment with this checkout's villagenet first on the path."""
+    src = str(Path(villagenet.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def _fresh_modules(code: str) -> set[str]:
     """The modules a fresh interpreter holds after running ``code``."""
-    src = str(Path(villagenet.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run([sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
-                         env=env, capture_output=True, text=True, check=True).stdout
+                         env=_subprocess_env(), capture_output=True, text=True,
+                         check=True).stdout
     return set(out.split())
 
 

@@ -267,6 +267,20 @@ class TestDesign:
         with pytest.raises(IngestionError, match="inconsistent"):
             infer_design(inds, {"v1": 0.75})
 
+    def test_household_in_two_villages_is_error(self):
+        inds = [Individual("a", "h1", "v1", False), Individual("b", "h1", "v2", False)]
+        with pytest.raises(IngestionError, match="household h1 spans two villages"):
+            infer_design(inds)
+
+    def test_every_village_declared_when_none_is_inferred(self):
+        inds = [Individual("a", "h1", "v1", False), Individual("b", "h2", "v2", True)]
+        assert infer_design(inds, {"v1": 0.0, "v2": 1.0},
+                            infer_missing=False).village_dosages == {"v1": 0.0, "v2": 1.0}
+        with pytest.raises(IngestionError, match="village v2: no declared dosage"):
+            infer_design(inds, {"v1": 0.0}, infer_missing=False)
+        with pytest.raises(IngestionError, match="village v3: declared dosage but no members"):
+            infer_design(inds, {"v1": 0.0, "v2": 1.0, "v3": 0.5})
+
     def test_design_validates_treated_count(self):
         with pytest.raises(IngestionError, match="inconsistent"):
             TreatmentDesign({"v1": 0.5}, {"v1": {"h1": True, "h2": False, "h3": False}})

@@ -15,8 +15,8 @@ from villagenet.core import ALLOWED_DOSAGES, BASE_LAYERS, treated_household_coun
 from villagenet.dyadic import (
     OUTCOMES,
     REFINEMENT_LABELS,
-    SAMPLES,
     SCHEMES,
+    DyadDataset,
     DyadicError,
     dyad_dataset,
     dyad_rows,
@@ -32,7 +32,7 @@ from villagenet.dyadic import (
 from villagenet.synth import SyntheticScenario, generate_panel
 
 from conftest import make_panel
-from draw_oracle import observed_assignment
+from draw_oracle import members, observed_assignment
 from dyad_oracle import (
     categorize_dyad,
     enumerate_dyads,
@@ -62,6 +62,19 @@ def category_panel():
     return make_panel(villages, edges)
 
 
+# The link states (2*link_w1 + link_w3) of the wave-1 linked, unlinked and all pairs.
+SAMPLE_STATES = {"existing_w1": (2, 3), "nonexisting_w1": (0, 1), "all": (0, 1, 2, 3)}
+SAMPLES = tuple(SAMPLE_STATES)
+
+
+def sample_of(data, sample):
+    """The dataset with only one sample's link-state columns counted."""
+    counts = np.zeros_like(data.counts)
+    states = list(SAMPLE_STATES[sample])
+    counts[:, states] = data.counts[:, states]
+    return DyadDataset(data.layer, counts)
+
+
 def counted_states(data, scheme):
     """A dataset's nonzero counts keyed like ``dyad_oracle.state_counts``."""
     names, counts = data.tallies(scheme)
@@ -74,13 +87,13 @@ class TestEnumerate:
         dyads = enumerate_dyads(panel, "health", sample="all")
         # 3*2 + 5*4 ordered pairs
         assert len(dyads) == 6 + 20
-        assert len(dyad_dataset(panel, "health", sample="all")) == 6 + 20
+        assert len(dyad_dataset(panel, "health")) == 6 + 20
 
     def test_54_node_village_count(self):
         households = {f"h{k}": [f"i{k:03d}"] for k in range(54)}
         panel = make_panel({"v": {"dosage": 0.0, "households": households}})
         assert len(enumerate_dyads(panel, "health", sample="all")) == 2862
-        assert len(dyad_dataset(panel, "health", sample="all")) == 2862
+        assert len(dyad_dataset(panel, "health")) == 2862
 
     def test_existing_sample_is_wave1_edge_set(self):
         panel = category_panel()
@@ -88,16 +101,20 @@ class TestEnumerate:
         pairs = {(d.ego, d.alter) for d in dyads}
         assert pairs == {("ca", "cb"), ("tt", "tu"), ("tu", "tv")}
         assert all(d.link_w1 for d in dyads)
-        data = dyad_dataset(panel, "health", sample="existing_w1")
+        data = sample_of(dyad_dataset(panel, "health"), "existing_w1")
         assert len(data) == 3
         assert data.counts[:, :2].sum() == 0   # no wave-1 non-link counted
+
+    def test_only_the_all_sample_is_built(self):
+        with pytest.raises(DyadicError, match="unknown dyad sample existing_w1"):
+            dyad_dataset(category_panel(), "health", sample="existing_w1")
 
     def test_samples_partition_all(self):
         panel = category_panel()
         existing = enumerate_dyads(panel, "health", sample="existing_w1")
         missing = enumerate_dyads(panel, "health", sample="nonexisting_w1")
         assert len(existing) + len(missing) == 26
-        counted = [dyad_dataset(panel, "health", sample=s) for s in SAMPLES]
+        counted = [sample_of(dyad_dataset(panel, "health"), s) for s in SAMPLES]
         assert len(counted[0]) + len(counted[1]) == len(counted[2]) == 26
         assert np.array_equal(counted[0].counts + counted[1].counts, counted[2].counts)
 
@@ -267,7 +284,7 @@ class TestIrls:
 
     def test_outcome_restrictions(self):
         panel = category_panel()
-        data = dyad_dataset(panel, "health", sample="all")
+        data = dyad_dataset(panel, "health")
         dis = fit_logistic_irls(data, "dissolution")
         form = fit_logistic_irls(data, "formation")
         assert dis.n_observations == 3   # wave-1 links
@@ -318,12 +335,12 @@ class TestSharedAdjacency:
     @pytest.mark.parametrize("sample", SAMPLES)
     def test_dataset_matches_edge_lookup(self, three_layer_panel, layer, sample):
         panel = three_layer_panel
-        data = dyad_dataset(panel, layer, sample)
+        data = sample_of(dyad_dataset(panel, layer), sample)
         nets = {(v, w): panel.network(v, w, layer) for v in panel.villages for w in (1, 3)}
         want = set()
         for v in panel.villages:
-            for ego in panel.members(v):
-                for alter in panel.members(v):
+            for ego in members(panel, v):
+                for alter in members(panel, v):
                     linked = has_edge(nets[(v, 1)], ego, alter)
                     if ego != alter and (sample == "all" or linked == (sample == "existing_w1")):
                         want.add((v, ego, alter))
@@ -345,14 +362,14 @@ class TestSharedAdjacency:
     def test_correspondence_reuses_a_built_dataset(self, three_layer_panel):
         panel = three_layer_panel
         rows, fit = estimand_correspondence(panel, "health")
-        data = dyad_dataset(panel, "health", sample="all")
+        data = dyad_dataset(panel, "health")
         rows2, fit2 = estimand_correspondence(panel, "health", data=data)
         assert rows == rows2
         assert fit.coefficients == fit2.coefficients
 
-    def test_correspondence_rejects_another_sample(self, three_layer_panel):
-        data = dyad_dataset(three_layer_panel, "health", sample="existing_w1")
-        with pytest.raises(DyadicError, match="'all' dyad sample"):
+    def test_correspondence_rejects_another_layer(self, three_layer_panel):
+        data = dyad_dataset(three_layer_panel, "friendship")
+        with pytest.raises(DyadicError, match="dyad dataset of layer health"):
             estimand_correspondence(three_layer_panel, "health", data=data)
 
 
@@ -428,7 +445,7 @@ class TestCountsAgainstOracle:
            layer=st.sampled_from(["health", "friendship", "aggregated"]),
            sample=st.sampled_from(SAMPLES))
     def test_counts_length_and_rows(self, panel, layer, sample):
-        data = dyad_dataset(panel, layer, sample)
+        data = sample_of(dyad_dataset(panel, layer), sample)
         dyads = enumerate_dyads(panel, layer, sample)
         assert len(data) == len(dyads)
         for scheme in SCHEMES:
@@ -449,11 +466,11 @@ class TestCountsAgainstOracle:
         labels = node_refinement(panel, layer)
         asg = observed_assignment(panel)
         for v in panel.villages:
-            treated = np.array([m in asg.treated for m in panel.members(v)], dtype=bool)
+            treated = np.array([m in asg.treated for m in members(panel, v)], dtype=bool)
             codes = refinement_codes(panel.network(v, 1, layer).src,
                                      panel.network(v, 1, layer).dst, treated)
             assert [REFINEMENT_LABELS[c] for c in codes] == [
-                labels[m] for m in panel.members(v)]
+                labels[m] for m in members(panel, v)]
 
 
 def assert_same_fit(grouped, rows, rel=1e-9):

@@ -13,7 +13,9 @@ from draw_oracle import (
     kernel_evaluate,
     kernel_groups,
     kernel_spillover_order,
+    members,
     observed_assignment,
+    rows_of,
 )
 from network_oracle import bfs_distances, undirected_neighbors
 
@@ -139,7 +141,7 @@ class TestSpilloverOrder:
         panel = spillover_village_panel()
         labels = kernel_spillover_order(panel, "health")
         asg = observed_assignment(panel)
-        untreated_in_treated = {i for i in panel.members("t1") if i not in asg.treated}
+        untreated_in_treated = {i for i in members(panel, "t1") if i not in asg.treated}
         assert set(labels) == untreated_in_treated
         first = {i for i, l in labels.items() if l == "first_order"}
         higher = {i for i, l in labels.items() if l == "higher_order"}
@@ -230,7 +232,7 @@ class TestDidStatistic:
 
     def test_focal_equals_comparison_zero(self, two_village_panel):
         table = self._table(two_village_panel)
-        ids = list(two_village_panel.members("c1"))
+        ids = list(members(two_village_panel, "c1"))
         raw, pct = did_statistic(table, "degree", ids, ids, ids)
         assert raw == 0.0 and pct == 0.0
 
@@ -246,8 +248,8 @@ class TestDidStatistic:
 
     def test_scale_equivariance(self, two_village_panel):
         table = metric_table(two_village_panel, "health")
-        focal = [i for i in two_village_panel.members("t1")]
-        comp = [i for i in two_village_panel.members("c1")]
+        focal = [i for i in members(two_village_panel, "t1")]
+        comp = [i for i in members(two_village_panel, "c1")]
         raw1, pct1 = did_statistic(table, "degree", focal, comp, comp)
         scaled = {k: v * 3.0 for k, v in table.values.items()}
         table2 = type(table)(table.layer, table.variants, table.directed,
@@ -258,23 +260,23 @@ class TestDidStatistic:
 
     def test_fig2_scaling_variant(self, two_village_panel):
         table = metric_table(two_village_panel, "health")
-        focal = list(two_village_panel.members("t1"))
-        comp = list(two_village_panel.members("c1"))
+        focal = list(members(two_village_panel, "t1"))
+        comp = list(members(two_village_panel, "c1"))
         raw1, pct_w1 = did_statistic(table, "degree", focal, comp, comp)
         raw3, pct_w3 = did_statistic(table, "degree", focal, comp, comp,
                                      scaling="control_w3")
         assert raw1 == raw3
-        m1, _ = table.group_mean(1, "degree", comp)
-        m3, _ = table.group_mean(3, "degree", comp)
+        m1, _ = table.group_mean(1, "degree", rows_of(table, comp))
+        m3, _ = table.group_mean(3, "degree", rows_of(table, comp))
         assert pct_w3 == pytest.approx(pct_w1 * m1 / m3)
 
 
 class TestCounterfactual:
     def test_unchanged_comparison(self, two_village_panel):
         table = metric_table(two_village_panel, "health")
-        focal = list(two_village_panel.members("t1"))
+        focal = list(members(two_village_panel, "t1"))
         w1, expected = counterfactual_trend(table, "degree", focal, focal)
-        f3, _ = table.group_mean(3, "degree", focal)
+        f3, _ = table.group_mean(3, "degree", rows_of(table, focal))
         assert expected == pytest.approx(f3)  # focal == comparison consistency
 
     def test_additive_shift(self):
@@ -291,10 +293,10 @@ class TestCounterfactual:
 
     def test_consistency_with_did(self, two_village_panel):
         table = metric_table(two_village_panel, "health")
-        focal = list(two_village_panel.members("t1"))
-        comp = list(two_village_panel.members("c1"))
+        focal = list(members(two_village_panel, "t1"))
+        comp = list(members(two_village_panel, "c1"))
         _, expected = counterfactual_trend(table, "degree", focal, comp)
-        f3, _ = table.group_mean(3, "degree", focal)
+        f3, _ = table.group_mean(3, "degree", rows_of(table, focal))
         raw, _ = did_statistic(table, "degree", focal, comp, comp)
         assert raw == pytest.approx(f3 - expected, abs=1e-12)
 

@@ -215,6 +215,15 @@ class TestPanelArchive:
         with pytest.raises(IngestionError, match="not a panel"):
             vio.read_panel(path)
 
+    def test_record_without_id_named_by_position(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({
+            "kind": "panel", "format_version": 1, "village_dosages": {"v": 0.0}, "networks": {},
+            "individuals": [{"id": "a", "household_id": "h1", "village_id": "v", "treated": 0},
+                            {"household_id": "h2", "village_id": "v", "treated": 0}]}))
+        with pytest.raises(IngestionError, match=f"^{path}: individual record 2 has no id$"):
+            vio.read_panel(path)
+
 
 class TestExports:
     def test_format_version_first_line(self, tmp_path):

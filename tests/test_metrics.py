@@ -294,7 +294,7 @@ class TestMetricTable:
         panel = make_panel(villages, edges)
         base = metric_table(panel, "health")
         filtered = metric_table(panel, "health", ("exclude_intra_household",))
-        i = base.index["a"]
+        i = base.individuals.index("a")
         assert base.values[(1, "degree")][i] == 2.0
         assert filtered.values[(1, "degree")][i] == 1.0
 
