@@ -10,9 +10,10 @@ assignment. Category indicators are the only covariates, so a sample is kept
 as counts: per fine category, the number of pairs in each (wave-1 link,
 wave-3 link) state, taken per village straight from the cached adjacency
 matrices without one row per dyad. Dissolution and formation are modelled by
-logistic regressions on category indicators, fitted to these grouped binomial
-counts by Newton/IRLS with exact score and observed-information formulas so
-the optimizer can be audited.
+saturated logistic regressions on category indicators, fitted to these grouped
+binomial counts in closed form (Agresti, Categorical Data Analysis); the exact
+log-likelihood, score and Hessian are kept to check fits against. A term that
+a completely separated category enters is NaN, which exports write as NA.
 """
 
 from __future__ import annotations
@@ -47,10 +48,8 @@ _OUTCOME_STATES = {
 }
 
 
-# Reference category of the fits, and the Newton iteration cap and score tolerance.
+# Reference category of the fits.
 REFERENCE = "UoUo"
-MAX_ITER = 50
-TOL = 1e-8
 
 
 class DyadicError(ValueError):
@@ -148,7 +147,7 @@ def dyad_rows(panel: StudyPanel,
 
 
 # ---------------------------------------------------------------------------
-# Logistic regression by Newton/IRLS.
+# Saturated logistic regression on category indicators, in closed form.
 
 @dataclass(frozen=True)
 class CoefficientEstimate:
@@ -215,22 +214,28 @@ def fit_categorical_logistic(
     scheme: str = "coarse",
     trials: np.ndarray | None = None,
 ) -> LogisticFit:
-    """Intercept + one indicator per non-``REFERENCE`` category, Newton-fitted.
+    """Intercept + one indicator per non-``REFERENCE`` category, fitted in closed form.
 
     Row i holds ``y[i]`` successes in ``trials[i]`` Bernoulli draws (default
-    1, one row per observation), so per-category counts give the same fit,
-    log-likelihood and number of observations as one row per dyad.
+    1, one row per observation). Rows are summed per category first, so
+    per-category counts and one row per dyad take the same path to the same fit.
+    The model is saturated: the intercept is the reference category's sample
+    logit log(y / (t - y)), each other term its own logit minus the reference's,
+    with variance 1/y + 1/(t - y) per category (the reference's added to every
+    other term's).
 
-    Complete separation (a category whose outcomes are all 0 or all 1) is
-    reported as non-convergence naming the category; estimates for the
-    remaining terms are still returned for inspection.
+    Complete separation (a category whose outcomes are all 0 or all 1) has no
+    finite MLE: it is reported as non-convergence naming the category, and
+    every term the category enters (all of them, for the reference) is NaN.
     """
     labels = np.asarray(labels)
-    y = np.asarray(y, dtype=float)
     if labels.size == 0:
         raise DyadicError("no observations to fit")
-    t = np.ones(labels.size) if trials is None else np.asarray(trials, dtype=float)
-    present = sorted(set(labels.tolist()))
+    categories, rows = np.unique(labels, return_inverse=True)
+    present = categories.tolist()
+    y = np.bincount(rows, weights=np.asarray(y, dtype=float), minlength=len(present))
+    t = np.bincount(rows, weights=None if trials is None else np.asarray(trials, dtype=float),
+                    minlength=len(present)).astype(float)
     dropped = tuple(c for c in COARSE_CATEGORIES if c not in present) if scheme == "coarse" else ()
     if dropped:
         log.warning("categories %s have no observations and are dropped", list(dropped))
@@ -241,73 +246,28 @@ def fit_categorical_logistic(
                     REFERENCE, reference)
     others = [c for c in present if c != reference]
 
-    separated = []
-    for cat in present:
-        rows = labels == cat
-        successes = y[rows].sum()
-        if successes == 0.0 or successes == t[rows].sum():
-            separated.append(cat)
+    failures = t - y
+    split = (y > 0) & (failures > 0)
+    separated = [c for c, ok in zip(present, split) if not ok]
     if separated:
         log.warning("complete separation in categories %s; fit flagged as "
                     "non-convergent", separated)
-
-    X = np.ones((labels.size, 1 + len(others)))
-    for k, cat in enumerate(others):
-        X[:, 1 + k] = (labels == cat).astype(float)
-
-    beta = np.zeros(X.shape[1])
-    converged = False
-    iterations = 0
-    for iterations in range(1, MAX_ITER + 1):
-        score = logistic_score(X, y, beta, t)
-        if np.max(np.abs(score)) < TOL:
-            converged = True
-            iterations -= 1
-            break
-        info = -logistic_hessian(X, y, beta, t)
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(info, score, rcond=None)[0]
-        # Step-halving keeps Newton monotone on badly scaled starts.
-        nll = logistic_nll(X, y, beta, t)
-        scale = 1.0
-        for _ in range(30):
-            candidate = beta + scale * step
-            if logistic_nll(X, y, candidate, t) <= nll + 1e-12:
-                break
-            scale *= 0.5
-        beta = beta + scale * step
-
-    info = -logistic_hessian(X, y, beta, t)
-    try:
-        cov = np.linalg.inv(info)
-        se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    except np.linalg.LinAlgError:
-        se = np.full(beta.size, float("nan"))
-
-    terms = ["(Intercept)"] + others
-    coefficients = {}
-    for k, term in enumerate(terms):
-        est = float(beta[k])
-        s = float(se[k])
-        z = est / s if s > 0 else float("nan")
-        coefficients[term] = CoefficientEstimate(
-            estimate=est, std_error=s, z=z,
-            p=_normal_two_sided_p(z) if math.isfinite(z) else float("nan"),
-        )
-    return LogisticFit(
-        outcome=outcome,
-        scheme=scheme,
-        reference=reference,
-        coefficients=coefficients,
-        converged=converged and not separated,
-        iterations=iterations,
-        log_likelihood=-logistic_nll(X, y, beta, t),
-        n_observations=int(t.sum()),
-        separated=tuple(separated),
-        dropped=dropped,
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logit = np.where(split, np.log(y / failures), np.nan)
+        var = np.where(split, 1.0 / y + 1.0 / failures, np.nan)
+        # Category rates of 0 or 1 add nothing (0 log 0 = 0).
+        log_likelihood = float(sum(np.sum(k * np.log(k / t), where=k > 0) for k in (y, failures)))
+    ref = present.index(reference)
+    rest = [present.index(c) for c in others]
+    beta = np.concatenate(([logit[ref]], logit[rest] - logit[ref])).tolist()
+    se = np.sqrt(np.concatenate(([var[ref]], var[rest] + var[ref]))).tolist()
+    # A separated term has est = s = NaN, and so z = p = NaN.
+    coefficients = {term: CoefficientEstimate(est, s, est / s, _normal_two_sided_p(est / s))
+                    for term, est, s in zip(["(Intercept)"] + others, beta, se)}
+    return LogisticFit(outcome=outcome, scheme=scheme, reference=reference,
+                       coefficients=coefficients, converged=not separated, iterations=0,
+                       log_likelihood=log_likelihood, n_observations=int(t.sum()),
+                       separated=tuple(separated), dropped=dropped)
 
 
 def fit_logistic_irls(
@@ -321,7 +281,7 @@ def fit_logistic_irls(
     formation: among wave-1 non-links, 1 when a link exists at wave 3.
     wave3_link: all dyads, 1 when a link exists at wave 3 (unconditional).
 
-    The fit has one row per category present, weighted by its trials.
+    The fit takes one grouped row per category present: its successes in its trials.
     """
     if outcome not in OUTCOMES:
         raise DyadicError(f"unknown outcome {outcome}")

@@ -413,6 +413,8 @@ def _panel_of(doc) -> StudyPanel:
     if doc.get("format_version") != FORMAT_VERSION:
         raise IngestionError(f"format version {doc.get('format_version')} unsupported")
     records = doc.get("individuals", ())
+    if not records:
+        raise IngestionError("no individuals")
     try:
         individuals = {
             rec["id"]: Individual(
@@ -428,12 +430,24 @@ def _panel_of(doc) -> StudyPanel:
         k, rec = next((k, r) for k, r in enumerate(records, start=1) if exc.args[0] not in r)
         name = f"individual {rec['id']}" if "id" in rec else f"individual record {k}"
         raise IngestionError(f"{name} has no {exc.args[0]}") from None
+    except TypeError:   # a record that is not an object
+        k = next((k for k, r in enumerate(records, start=1) if not isinstance(r, dict)), None)
+        if k is None:
+            raise
+        raise IngestionError(f"individual record {k} is not an object") from None
     if len(individuals) != len(records):
         repeated = [i for i, n in Counter(rec["id"] for rec in records).items() if n > 1]
         raise IngestionError(f"individual {repeated[0]} listed twice")
-    design = infer_design(individuals.values(),
-                          {v: float(a) for v, a in doc.get("village_dosages", {}).items()},
-                          infer_missing=False)
+    declared = doc.get("village_dosages", {})
+    try:
+        dosages = {v: float(a) for v, a in declared.items()}
+    except (TypeError, ValueError):   # the first dosage that float() rejects
+        for v, a in declared.items():
+            try:
+                float(a)
+            except (TypeError, ValueError):
+                raise IngestionError(f"village {v}: dosage {a!r} is not a number") from None
+    design = infer_design(individuals.values(), dosages, infer_missing=False)
     members: dict[str, list[str]] = {}
     for iid in sorted(individuals):
         members.setdefault(individuals[iid].village_id, []).append(iid)

@@ -212,6 +212,25 @@ class TestArchiveFaults:
         doc["individuals"].append(record)
         self._exits_2(doc, tmp_path, capsys, command, f"individual {record['id']} listed twice")
 
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_record_not_an_object(self, sim, tmp_path, capsys, command):
+        doc = self._doc(sim)
+        doc["individuals"][3] = list(doc["individuals"][3].values())
+        self._exits_2(doc, tmp_path, capsys, command, "individual record 4 is not an object")
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_non_numeric_dosage(self, sim, tmp_path, capsys, command):
+        doc = self._doc(sim)
+        village = sorted(doc["village_dosages"])[1]
+        doc["village_dosages"][village] = "x"
+        self._exits_2(doc, tmp_path, capsys, command,
+                      f"village {village}: dosage 'x' is not a number")
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_no_individuals(self, sim, tmp_path, capsys, command):
+        doc = dict(self._doc(sim), individuals=[], village_dosages={}, networks={})
+        self._exits_2(doc, tmp_path, capsys, command, "no individuals")
+
 
 class TestSubcommands:
     def test_metrics(self, sim):

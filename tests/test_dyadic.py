@@ -1,7 +1,9 @@
-"""Dyad categories, the IRLS logistic fit, and the node-level correspondence."""
+"""Dyad categories, the closed-form logistic fit, and the node-level correspondence."""
 
+import dataclasses
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from scipy import optimize
 from villagenet import io as vio
 from villagenet.core import ALLOWED_DOSAGES, BASE_LAYERS, treated_household_count
 from villagenet.dyadic import (
+    COARSE_CATEGORIES,
     OUTCOMES,
     REFINEMENT_LABELS,
     SCHEMES,
@@ -473,28 +476,21 @@ class TestCountsAgainstOracle:
                 labels[m] for m in members(panel, v)]
 
 
-def assert_same_fit(grouped, rows, rel=1e-9):
-    """Same flags and iterations; estimates, SEs and log-likelihood within ``rel``.
+def assert_same_fit(grouped, rows):
+    """The grouped fit equals the row-level fit bit for bit.
 
-    A separated fit stops with its information matrix near singular and its
-    estimates diverging, so there only the estimates are compared, to 1e-6
-    relative or 1e-5 absolute (for a difference of two diverging terms).
+    Both sum their rows per category first, and sums of 0/1 floats are exact.
+    A separated fit has NaN terms, which are compared as equal to NaN.
     """
-    assert grouped.n_observations == rows.n_observations
-    assert grouped.iterations == rows.iterations
-    assert grouped.converged == rows.converged
-    assert grouped.separated == rows.separated
-    assert grouped.dropped == rows.dropped
-    assert grouped.reference == rows.reference
+    if not rows.separated:
+        assert grouped == rows
+        return
+    assert (dataclasses.replace(grouped, coefficients={})
+            == dataclasses.replace(rows, coefficients={}))
     assert list(grouped.coefficients) == list(rows.coefficients)
-    assert grouped.log_likelihood == pytest.approx(rows.log_likelihood, rel=rel)
     for term, coef in rows.coefficients.items():
-        got = grouped.coefficients[term]
-        if rows.separated:
-            assert got.estimate == pytest.approx(coef.estimate, rel=1e-6, abs=1e-5)
-        else:
-            assert got.estimate == pytest.approx(coef.estimate, rel=rel)
-            assert got.std_error == pytest.approx(coef.std_error, rel=rel)
+        assert dataclasses.astuple(grouped.coefficients[term]) == pytest.approx(
+            dataclasses.astuple(coef), rel=0, abs=0, nan_ok=True)
 
 
 class TestGroupedFit:
@@ -537,3 +533,44 @@ class TestGroupedFit:
                            logistic_score(X[reps], y_rows, beta), rtol=1e-12, atol=1e-12)
         assert np.allclose(logistic_hessian(X, y, beta, trials),
                            logistic_hessian(X[reps], y_rows, beta), rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def category_counts(draw):
+    """Trials and successes for some of the coarse categories, in name order."""
+    cats = sorted(draw(st.lists(st.sampled_from(COARSE_CATEGORIES), min_size=1, max_size=5,
+                                unique=True)))
+    trials = np.array([draw(st.integers(1, 200)) for _ in cats])
+    hits = np.array([draw(st.integers(0, int(t))) for t in trials])
+    return cats, trials, hits
+
+
+class TestClosedForm:
+    """The closed form against the exact likelihood, score and Hessian."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=category_counts())
+    def test_fit_is_the_mle(self, counts):
+        cats, trials, hits = counts
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_categorical_logistic(cats, hits, trials=trials)
+        split = (hits > 0) & (hits < trials)
+        assert fit.converged == bool(split.all())
+        assert fit.separated == tuple(c for c, ok in zip(cats, split) if not ok)
+        assert fit.iterations == 0
+        others = [c for c in cats if c != fit.reference]
+        terms = ["(Intercept)"] + others
+        if fit.separated:
+            for term, coef in fit.coefficients.items():
+                enters = fit.reference in fit.separated or term in fit.separated
+                assert [math.isnan(v) for v in dataclasses.astuple(coef)] == [enters] * 4
+            return
+        X = np.column_stack([np.ones(len(cats))]
+                            + [[float(c == o) for c in cats] for o in others])
+        beta = np.array([fit.coefficients[t].estimate for t in terms])
+        assert np.max(np.abs(logistic_score(X, hits, beta, trials))) < 1e-8
+        se = np.sqrt(np.diag(np.linalg.inv(-logistic_hessian(X, hits, beta, trials))))
+        assert [fit.coefficients[t].std_error for t in terms] == pytest.approx(se, rel=1e-9)
+        assert fit.log_likelihood == pytest.approx(-logistic_nll(X, hits, beta, trials),
+                                                   rel=1e-12)
