@@ -328,6 +328,7 @@ def run_dyadic(config: dict, outdir: Path) -> None:
 
 
 def run_wasserstein(config: dict, outdir: Path) -> None:
+    from .metrics import metric_table
     from .stats import StatsError, wasserstein1, welch_ttest
 
     panel = vio.read_panel(config["panel"])
@@ -335,17 +336,12 @@ def run_wasserstein(config: dict, outdir: Path) -> None:
     kind = str(config["degree_kind"])
     _require_directed(panel, layer, "degree_kind", kind)
     normalize = bool(int(config["normalize"]))
+    table = metric_table(panel, layer, metrics=(kind,))
     rows = []
     by_group: dict[str, list[float]] = {"control": [], "low": [], "high": []}
-    for village in panel.villages:
-        samples = {}
-        for wave in (1, 3):
-            net = panel.network(village, wave, layer)
-            deg = _degree_sample(net, kind)
-            if normalize and net.n > 1:
-                deg = [d / (net.n - 1) for d in deg]
-            samples[wave] = deg
-        w = wasserstein1(samples[1], samples[3])
+    for village, members in zip(panel.index.villages, panel.index.members):
+        scale = members.size - 1 if normalize and members.size > 1 else 1
+        w = wasserstein1(*(table.column(wave, kind)[members] / scale for wave in (1, 3)))
         group = panel.design.dosage_group(village)
         by_group[group].append(w)
         rows.append({"village_id": village, "dosage_group": group, "wasserstein": w})
@@ -359,14 +355,6 @@ def run_wasserstein(config: dict, outdir: Path) -> None:
                 log.warning("welch control vs %s skipped: %s", arm, exc)
     vio.write_welch(welch, outdir / "welch.csv")
     print(f"wrote {len(rows)} distances and {len(welch)} Welch tests")
-
-
-def _degree_sample(net, kind: str) -> list[float]:
-    from .metrics import degree_metrics
-
-    deg = degree_metrics(net)
-    index = DEGREE_KINDS.index(kind)
-    return [float(deg[v][index]) for v in net.nodes]
 
 
 def run_doseresponse(config: dict, outdir: Path) -> None:

@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass, field
 from itertools import product, repeat
 from math import floor
-from typing import Callable, Collection, Mapping, Sequence, TypeVar
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -462,9 +462,6 @@ class StudyIndex:
         return cls(individuals, villages, members, village, household, (dosages, treated))
 
 
-_T = TypeVar("_T")
-
-
 @dataclass
 class StudyPanel:
     """Individuals, design and per-wave layer networks, checked against ``index`` when built."""
@@ -474,7 +471,7 @@ class StudyPanel:
     networks: dict[tuple[str, int, str], LayerNetwork]
 
     def __post_init__(self):
-        self._compiled: dict[tuple, object] = {}
+        self._networks: dict[tuple, LayerNetwork] = {}   # resolved by `network`
         self.index = index = StudyIndex.of(self)
         members = {v: tuple(map(index.individuals.__getitem__, rows.tolist()))
                    for v, rows in zip(index.villages, index.members)}
@@ -492,15 +489,9 @@ class StudyPanel:
     def villages(self) -> tuple[str, ...]:
         return self.index.villages
 
-    def compiled(self, key: tuple, build: Callable[[], _T]) -> _T:
-        """A structure derived from this panel (e.g. a compiled index), built once per key."""
-        if key not in self._compiled:
-            self._compiled[key] = build()
-        return self._compiled[key]
-
     def network(self, village: str, wave: int, layer: str,
                 variants: Sequence[str] = ()) -> LayerNetwork:
-        """Resolve a base or derived network, applying variant edge filters."""
+        """Resolve a base or derived network, applying variant edge filters; kept once built."""
         variants = tuple(sorted(set(variants)))
         for flag in variants:
             if flag not in VARIANT_FLAGS:
@@ -509,6 +500,9 @@ class StudyPanel:
             raise ValueError(f"unknown layer {layer}")
         if "residual" in variants and layer not in RESIDUAL_TARGETS:
             raise ValueError(f"residual variant undefined for layer {layer}")
+        key = (village, wave, layer, variants)
+        if key in self._networks:
+            return self._networks[key]
 
         def base(name: str) -> LayerNetwork:
             try:
@@ -516,22 +510,20 @@ class StudyPanel:
             except KeyError:
                 raise ValueError(f"no {name} network for village {village} wave {wave}") from None
 
-        def build() -> LayerNetwork:
-            if layer in BASE_LAYERS:
-                net = base(layer)
-            elif layer == "aggregated":
-                net = aggregate_layers(base("health"), base("friendship"), base("financial"))
-            else:
-                net = directed_union(base("health"), base("friendship"), base("financial"))
-            if "residual" in variants:
-                net = residual_network(net, base("health"))
-            if "exclude_intra_household" in variants:
-                study = self.index
-                nodes = study.members[study.villages.index(village)]
-                net = exclude_intra_household(net, study.household[nodes])
-            return net
-
-        return self.compiled(("network", village, wave, layer, variants), build)
+        if layer in BASE_LAYERS:
+            net = base(layer)
+        elif layer == "aggregated":
+            net = aggregate_layers(base("health"), base("friendship"), base("financial"))
+        else:
+            net = directed_union(base("health"), base("friendship"), base("financial"))
+        if "residual" in variants:
+            net = residual_network(net, base("health"))
+        if "exclude_intra_household" in variants:
+            study = self.index
+            nodes = study.members[study.villages.index(village)]
+            net = exclude_intra_household(net, study.household[nodes])
+        self._networks[key] = net
+        return net
 
 
 def build_panel(

@@ -10,13 +10,13 @@ Group membership is a function of the treatment assignment, so one kernel,
 re-randomized draw; it is the only way to groups and statistics. Individuals,
 villages and the observed assignment come from the panel's study-wide index
 (`core.StudyIndex`), and a metric table's columns are read as they stand,
-since they follow the same individuals. A (panel, layer, variant) adds only
-its wave-1 skeleton (`GroupIndex`, kept on the panel): (src, dst) index arrays
-over those individuals and the skeleton's connected components. The kernel
-adds a value matrix X = [V1 | V3 | defined1 | defined3] over the requested
-metrics with undefined values set to 0. A draw is a dosage per village plus a
-treated flag per individual. Its focal, comparison and control-reference
-groups are boolean rows; first-order exposure is the study's one exposure rule
+since they follow the same individuals. Each kernel compiles its (layer,
+variant)'s wave-1 skeleton itself: (src, dst) index arrays over those
+individuals and the skeleton's connected components. It adds a value matrix
+X = [V1 | V3 | defined1 | defined3] over the requested metrics with undefined
+values set to 0. A draw is a dosage per village plus a treated flag per
+individual. Its focal, comparison and control-reference groups are boolean
+rows; first-order exposure is the study's one exposure rule
 (`core.has_treated_neighbor`, two bincounts over the skeleton edges).
 Higher-order spillover is the untreated in scope with no treated neighbor from
 whom a treated node is still reachable (distance 2 or more), "reachable" being
@@ -108,27 +108,6 @@ def _components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         label = low
 
 
-class GroupIndex:
-    """The wave-1 skeleton of one (panel, layer, variant) over `StudyPanel.index`.
-
-    The ties are (src, dst) index arrays into the study's individuals, with
-    the skeleton's connected components as one label per individual. Use
-    `group_index` to get the panel's cached copy.
-    """
-
-    def __init__(self, panel: StudyPanel, layer: str, variant_flags: Sequence[str] = ()):
-        study = panel.index
-        nets = [panel.network(v, 1, layer, variant_flags) for v in study.villages]
-        self.src = np.concatenate([rows[net.src] for rows, net in zip(study.members, nets)])
-        self.dst = np.concatenate([rows[net.dst] for rows, net in zip(study.members, nets)])
-        self.component = _components(len(study.individuals), self.src, self.dst)
-
-    def exposure(self, treated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(has a treated wave-1 neighbor, shares a skeleton component with a treated node)."""
-        reachable = np.bincount(self.component, weights=treated, minlength=treated.size) > 0
-        return has_treated_neighbor(self.src, self.dst, treated), reachable[self.component]
-
-
 def _in_scope(study: StudyIndex, dosages: np.ndarray, scope: str) -> np.ndarray:
     """Members of the treated-side villages a dosage scope selects."""
     if scope == "all":
@@ -138,13 +117,6 @@ def _in_scope(study: StudyIndex, dosages: np.ndarray, scope: str) -> np.ndarray:
     else:
         raise EffectError(f"unknown dosage scope {scope}")
     return villages[study.village]
-
-
-def group_index(panel: StudyPanel, layer: str, variant_flags: Sequence[str] = ()) -> GroupIndex:
-    """The panel's `GroupIndex` for (layer, variant), compiled on first use and kept."""
-    variants = tuple(sorted(set(variant_flags)))
-    return panel.compiled(("group_index", layer, variants),
-                          lambda: GroupIndex(panel, layer, variants))
 
 
 # Group rows a contrast reads, keyed by (group, scope). The direct contrast's
@@ -165,18 +137,21 @@ class ContrastKernel:
     The first/higher-order kinds restrict the spillover focal group to those
     with a treated wave-1 neighbor / with none but a treated node reachable.
 
-    All specs share one layer and variant. Without a table only the groups
-    (`masks`) are available.
+    All specs share one layer and variant, whose wave-1 skeleton the kernel
+    compiles itself. It holds arrays and the study index, never the panel, so
+    it pickles into worker processes.
     """
 
-    def __init__(self, panel: StudyPanel, specs: Sequence[ContrastSpec],
-                 table: MetricTable | None = None):
+    def __init__(self, panel: StudyPanel, specs: Sequence[ContrastSpec], table: MetricTable):
         self.specs = tuple(specs)
         layer, variants = self.specs[0].layer, self.specs[0].variant_flags
         if any((s.layer, s.variant_flags) != (layer, variants) for s in self.specs):
             raise EffectError("a contrast kernel needs specs of one layer and variant")
-        self.study = panel.index
-        self.index = group_index(panel, layer, variants)
+        self.study = study = panel.index
+        nets = [panel.network(v, 1, layer, variants) for v in study.villages]
+        self.src = np.concatenate([rows[net.src] for rows, net in zip(study.members, nets)])
+        self.dst = np.concatenate([rows[net.dst] for rows, net in zip(study.members, nets)])
+        self.component = _components(len(study.individuals), self.src, self.dst)
         keys: dict[tuple[str, str], int] = {}
         self.focal = np.array([keys.setdefault((_FOCAL_GROUP.get(s.kind, s.kind), s.dosage_scope),
                                                len(keys)) for s in self.specs])
@@ -198,7 +173,7 @@ class ContrastKernel:
             np.stack([at(self.focal, 0), at(self.focal, 1), at(self.comparison, 0),
                       at(self.comparison, 1), at(self.reference, ref_block)], axis=1)
             for ref_block in (0, 1))
-        self.values = None if table is None else self._values(table)
+        self.values = self._values(table)
 
     def _values(self, table: MetricTable) -> np.ndarray:
         """X = [V1 | V3 | defined1 | defined3], one column per metric in each block."""
@@ -209,12 +184,17 @@ class ContrastKernel:
         defined = ~np.isnan(v)
         return np.hstack([np.where(defined, v, 0.0), defined])
 
+    def exposure(self, treated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(has a treated wave-1 neighbor, shares a skeleton component with a treated node)."""
+        reachable = np.bincount(self.component, weights=treated, minlength=treated.size) > 0
+        return has_treated_neighbor(self.src, self.dst, treated), reachable[self.component]
+
     def masks(self, dosages: np.ndarray, treated: np.ndarray) -> np.ndarray:
         """Boolean (groups, individuals) rows of one draw, in ``keys`` order."""
         untreated = ~treated
         control = (dosages == 0.0)[self.study.village]
         if any(g.startswith("spillover_") for g, _ in self.keys):
-            exposed, reachable = self.index.exposure(treated)
+            exposed, reachable = self.exposure(treated)
         scoped = {scope: _in_scope(self.study, dosages, scope)
                   for scope in {s for _, s in self.keys}}
         rows = np.empty((len(self.keys), treated.size), dtype=bool)
@@ -255,8 +235,6 @@ class ContrastKernel:
         """Every spec's DiD under one draw; ``pct`` is NaN where a spec is undefined."""
         if scaling not in SCALINGS:
             raise EffectError(f"unknown scaling {scaling}")
-        if self.values is None:
-            raise EffectError("contrast kernel compiled without a metric table")
         rows = self.masks(dosages, treated)
         sizes = rows.sum(axis=1)
         sums = (rows.astype(float) @ self.values).ravel()

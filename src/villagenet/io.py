@@ -403,8 +403,13 @@ def read_panel(path: str | Path) -> StudyPanel:
             doc = json.load(fh)
         try:
             return _panel_of(doc)
-        except IngestionError as exc:
-            raise IngestionError(f"{path}: {exc}") from None
+        except TypeError:   # a value of the wrong JSON type, met on the way
+            fault = _type_fault(doc)
+            if fault is None:
+                raise
+            raise IngestionError(f"{path}: {fault}") from None
+        except (IngestionError, NetworkError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
 
 def _panel_of(doc) -> StudyPanel:
@@ -415,6 +420,9 @@ def _panel_of(doc) -> StudyPanel:
     records = doc.get("individuals", ())
     if not records:
         raise IngestionError("no individuals")
+    for name, kind in (("individuals", list), ("village_dosages", dict), ("networks", dict)):
+        if not isinstance(doc.get(name, kind()), kind):
+            raise IngestionError(f"{name} is not {'an array' if kind is list else 'an object'}")
     try:
         individuals = {
             rec["id"]: Individual(
@@ -430,11 +438,6 @@ def _panel_of(doc) -> StudyPanel:
         k, rec = next((k, r) for k, r in enumerate(records, start=1) if exc.args[0] not in r)
         name = f"individual {rec['id']}" if "id" in rec else f"individual record {k}"
         raise IngestionError(f"{name} has no {exc.args[0]}") from None
-    except TypeError:   # a record that is not an object
-        k = next((k for k, r in enumerate(records, start=1) if not isinstance(r, dict)), None)
-        if k is None:
-            raise
-        raise IngestionError(f"individual record {k} is not an object") from None
     if len(individuals) != len(records):
         repeated = [i for i, n in Counter(rec["id"] for rec in records).items() if n > 1]
         raise IngestionError(f"individual {repeated[0]} listed twice")
@@ -461,6 +464,8 @@ def _panel_of(doc) -> StudyPanel:
             raise IngestionError(f"network key {key!r} is not village|wave|layer") from None
         if village not in index:
             raise IngestionError(f"network {key} names unknown village {village}")
+        if not isinstance(edges, list):
+            raise IngestionError(f"network {key} is not an array")
         if set(map(len, edges)) - {2}:
             raise IngestionError(f"network {key}: every edge must be a pair of ids")
         ends = list(chain.from_iterable(edges))
@@ -472,6 +477,26 @@ def _panel_of(doc) -> StudyPanel:
         networks[(village, wave, layer)] = LayerNetwork(
             village, wave, layer, members[village], pairs=(flat[0::2], flat[1::2]))
     return StudyPanel(individuals, design, networks)
+
+
+def _type_fault(doc: dict) -> str | None:
+    """The first record or network value of the wrong JSON type, or None if there is none."""
+    for k, rec in enumerate(doc["individuals"], start=1):
+        if not isinstance(rec, dict):
+            return f"individual record {k} is not an object"
+        name = (f"individual {rec['id']}" if isinstance(rec.get("id"), str)
+                else f"individual record {k}")
+        for key in ("id", "household_id", "village_id"):
+            if not isinstance(rec.get(key, ""), str):
+                return f"{name}: {key} {rec[key]!r} is not a string"
+    for key, edges in doc.get("networks", {}).items():
+        for edge in edges:
+            if not isinstance(edge, list) or len(edge) != 2:
+                return f"network {key}: every edge must be a pair of ids"
+            for end in edge:
+                if not isinstance(end, str):
+                    return f"network {key}: edge endpoint {end!r} is not an id"
+    return None
 
 
 @contextmanager

@@ -318,11 +318,14 @@ def expected_degree_table(state: Wave1State, panel: StudyPanel, layer: str) -> M
                        individuals=index.individuals, villages=villages, values=values)
 
 
-def compute_oracle(state: Wave1State,
+def compute_oracle(state: Wave1State, panel: StudyPanel,
                    scopes: Sequence[str] = ("all",),
                    kinds: Sequence[str] = ("overall", "total", "spillover", "direct"),
                    ) -> OracleTruth:
-    """Planted log-odds plus exact expected percentage effects."""
+    """Planted log-odds plus exact expected percentage effects on the state's ``panel``.
+
+    Only the panel's index and wave-1 networks are read; its wave 3 never is.
+    """
     sc = state.scenario
     keep0 = sc.p_keep["UoUo"]
     form0 = sc.p_form["UoUo"]
@@ -335,9 +338,6 @@ def compute_oracle(state: Wave1State,
         dissolution[cat] = _logit(1.0 - pk) - _logit(1.0 - keep0)
         formation[cat] = _logit(pf) - _logit(form0)
 
-    # Group classification only reads wave-1 networks and the assignment,
-    # so an empty wave 3 is sufficient here.
-    panel = panel_from_state(state, {})
     expected_pct: dict[str, float] = {}
     for layer in sc.layers:
         specs = enumerate_specs([layer], ["degree", "in_degree", "out_degree"], scopes, kinds)
@@ -362,7 +362,7 @@ def generate_panel(scenario: SyntheticScenario,
     w3_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=scenario.seed, spawn_key=(1,))))
     panel = panel_from_state(state, sample_wave3(state, w3_rng))
-    oracle = compute_oracle(state, scopes=scopes)
+    oracle = compute_oracle(state, panel, scopes=scopes)
     return panel, oracle
 
 

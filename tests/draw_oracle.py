@@ -16,7 +16,7 @@ back by id, so that tests can state groups and statistics in ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -35,9 +35,8 @@ from villagenet.effects import (
     ContrastSpec,
     EffectError,
     EffectEstimate,
-    group_index,
 )
-from villagenet.metrics import MetricTable
+from villagenet.metrics import MetricTable, metric_table
 from villagenet.randomization import derive_stream
 
 from network_oracle import bfs_distances, undirected_neighbors
@@ -266,10 +265,16 @@ def _draw(panel: StudyPanel, asg: Assignment | None) -> tuple[np.ndarray, np.nda
             np.array([i in asg.treated for i in study.individuals], dtype=bool))
 
 
+def _degree_kernel(panel: StudyPanel, spec: ContrastSpec) -> ContrastKernel:
+    """A kernel of the spec on degree: groups do not depend on the metric."""
+    table = metric_table(panel, spec.layer, spec.variant_flags, ("degree",))
+    return ContrastKernel(panel, [replace(spec, metric="degree")], table)
+
+
 def kernel_groups(panel: StudyPanel, spec: ContrastSpec,
                   asg: Assignment | None = None) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The kernel's focal and comparison ids for a contrast (sorted ids)."""
-    kernel = ContrastKernel(panel, [spec])
+    kernel = _degree_kernel(panel, spec)
     dosages, treated = _draw(panel, asg)
     rows = kernel.masks(dosages, treated)
     focal, comparison = rows[kernel.focal[0]], rows[kernel.comparison[0]]
@@ -298,11 +303,11 @@ def kernel_spillover_order(panel: StudyPanel, layer: str, mode: str = "exclusive
     ``mode='distance_only'`` with ``include_unreachable`` the unreachable
     count as higher_order too.
     """
-    spillover = ContrastKernel(panel, [ContrastSpec("spillover", scope, layer, "degree",
-                                                    tuple(variant_flags))])
+    spillover = _degree_kernel(panel, ContrastSpec("spillover", scope, layer, "degree",
+                                                   tuple(variant_flags)))
     dosages, treated = _draw(panel, asg)
     members = spillover.masks(dosages, treated)[spillover.focal[0]]
-    exposed, reachable = group_index(panel, layer, variant_flags).exposure(treated)
+    exposed, reachable = spillover.exposure(treated)
     if mode == "distance_only" and include_unreachable:
         reachable[:] = True
     labels = np.where(exposed, "first_order", np.where(reachable, "higher_order", "neither"))

@@ -1,14 +1,18 @@
 """End-to-end CLI behavior: exit codes, manifests, reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import json
 from collections import Counter
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import villagenet
 from villagenet.cli import CHOICES, COMMAND_OPTIONS, main
@@ -230,6 +234,107 @@ class TestArchiveFaults:
     def test_no_individuals(self, sim, tmp_path, capsys, command):
         doc = dict(self._doc(sim), individuals=[], village_dosages={}, networks={})
         self._exits_2(doc, tmp_path, capsys, command, "no individuals")
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_dosages_not_an_object(self, sim, tmp_path, capsys, command):
+        doc = self._doc(sim)
+        doc["village_dosages"] = list(doc["village_dosages"].values())
+        self._exits_2(doc, tmp_path, capsys, command, "village_dosages is not an object")
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_networks_not_an_object(self, sim, tmp_path, capsys, command):
+        doc = self._doc(sim)
+        doc["networks"] = list(doc["networks"].values())
+        self._exits_2(doc, tmp_path, capsys, command, "networks is not an object")
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_id_not_hashable(self, sim, tmp_path, capsys, command):
+        doc = self._doc(sim)
+        record = doc["individuals"][3]
+        record["id"] = [record["id"]]
+        self._exits_2(doc, tmp_path, capsys, command,
+                      f"individual record 4: id {record['id']!r} is not a string")
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_household_not_a_string(self, sim, tmp_path, capsys, command):
+        # a control village's record: its count of treated households stays right
+        doc = self._doc(sim)
+        control = min(v for v, a in doc["village_dosages"].items() if a == 0.0)
+        record = next(r for r in doc["individuals"] if r["village_id"] == control)
+        record["household_id"] = 5
+        self._exits_2(doc, tmp_path, capsys, command,
+                      f"individual {record['id']}: household_id 5 is not a string")
+
+    @staticmethod
+    def _network_with_edges(doc) -> str:
+        return min(key for key, edges in doc["networks"].items() if edges)
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_network_not_an_array(self, sim, tmp_path, capsys, command):
+        doc = self._doc(sim)
+        key = self._network_with_edges(doc)
+        doc["networks"][key] = 7
+        self._exits_2(doc, tmp_path, capsys, command, f"network {key} is not an array")
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_edge_not_a_pair(self, sim, tmp_path, capsys, command):
+        doc = self._doc(sim)
+        key = self._network_with_edges(doc)
+        doc["networks"][key][0] = True
+        self._exits_2(doc, tmp_path, capsys, command,
+                      f"network {key}: every edge must be a pair of ids")
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_endpoint_not_an_id(self, sim, tmp_path, capsys, command):
+        doc = self._doc(sim)
+        key = self._network_with_edges(doc)
+        doc["networks"][key][0][1] = []
+        self._exits_2(doc, tmp_path, capsys, command,
+                      f"network {key}: edge endpoint [] is not an id")
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_endpoint_not_a_member_names_the_file(self, sim, tmp_path, capsys, command):
+        doc = self._doc(sim)
+        key = self._network_with_edges(doc)
+        doc["networks"][key][0][0] = 2.5
+        village, _, layer = key.split("|")
+        self._exits_2(doc, tmp_path, capsys, command,
+                      f"edge endpoint 2.5 not a member of {village}/{layer}")
+
+
+def _archive_paths(node, path=()):
+    """The path of every value inside a JSON document, the root excluded."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _archive_paths(child, path + (key,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), command=st.sampled_from(ANALYSES),
+       value=st.sampled_from([None, "x", -1, 2.5, [], {}, True, "delete"]))
+def test_one_bad_archive_value_exits_0_or_2(sim, data, command, value):
+    """One value replaced or key deleted anywhere in an archive: never a raw exit 1."""
+    doc = json.loads((sim["sim"] / "panel.json").read_text())
+    *parent, key = data.draw(st.sampled_from(list(_archive_paths(doc))))
+    holder = doc
+    for k in parent:
+        holder = holder[k]
+    if value == "delete":
+        del holder[key]
+    else:
+        holder[key] = value
+    out = Path(tempfile.mkdtemp(dir=sim["root"]))
+    panel = out / "panel.json"
+    panel.write_text(json.dumps(doc))
+    options = ["--permutations", "19"] if command == "permtest" else []
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--panel", str(panel), *options, "--out", str(out / "out")])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(f"error: {panel}: "), err.getvalue()
 
 
 class TestSubcommands:

@@ -20,7 +20,6 @@ from villagenet.effects import (
     ContrastSpec,
     EffectError,
     enumerate_specs,
-    group_index,
 )
 from villagenet.metrics import metric_table
 from villagenet.randomization import (
@@ -170,13 +169,3 @@ def test_draw_equal_to_observed_ties_with_it(metric):
     assert set(result.null_draws) == {result.observed}
     assert result.p_value == 1.0
 
-
-def test_group_index_is_compiled_once_per_layer_and_variant():
-    panel = random_panel(0)
-    index = group_index(panel, "health")
-    spec = ContrastSpec(kind="total", dosage_scope="all", layer="health", metric="degree")
-    assert group_index(panel, "health", ()) is index
-    assert ContrastKernel(panel, [spec]).index is index
-    variant = group_index(panel, "health", ["exclude_intra_household"])
-    assert variant is not index
-    assert group_index(panel, "health", ("exclude_intra_household",)) is variant

@@ -175,6 +175,18 @@ class TestPermutationPvalue:
         assert serial.null_draws == parallel.null_draws
         assert serial.p_value == parallel.p_value
 
+    @pytest.mark.parametrize("kind", ["spillover_first_order", "spillover_higher_order"])
+    @pytest.mark.parametrize("variant", [(), ("exclude_intra_household",)])
+    def test_thread_count_invariance_of_exposure_groups(self, kind, variant):
+        # the kernel's wave-1 skeleton (edges and components) goes to forked workers
+        spec = ContrastSpec(kind=kind, dosage_scope="all", layer="health", metric="degree",
+                            variant_flags=variant)
+        serial, parallel = (permutation_pvalue(_rename_base(), spec, permutations=40,
+                                               master_seed=7, threads=threads)
+                            for threads in (1, 2))
+        assert len(serial.null_draws) >= 36
+        assert serial == parallel
+
     def test_pvalue_bounds(self):
         panel = _perm_panel()
         res = permutation_pvalue(panel, self.SPEC, permutations=30, master_seed=5)

@@ -157,7 +157,7 @@ class TestOracleConsistency:
             p_form={"UoUo": 0.02, "TT": 0.08},
         )
         state = generate_wave1_state(sc)
-        oracle = compute_oracle(state)
+        oracle = compute_oracle(state, panel_from_state(state, {}))
         spec = ContrastSpec(kind="total", dosage_scope="all", layer="health",
                             metric="degree")
         draws = []
@@ -169,6 +169,19 @@ class TestOracleConsistency:
         mc_se = draws.std(ddof=1) / np.sqrt(draws.size)
         want = oracle.expected_pct[spec.label()]
         assert abs(draws.mean() - want) < 3 * mc_se
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_oracle_reads_no_wave3(self, seed):
+        sc = small_scenario(seed=seed, arms=((0.0, 2), (0.2, 2), (0.75, 2)),
+                            layers=("health", "friendship"),
+                            edge_density={"health": 0.08, "friendship": 0.1},
+                            p_keep={"UoUo": 0.65, "TU": 0.45}, p_form={"UoUo": 0.02, "TT": 0.05})
+        scopes = ("all", "low", "high")
+        _, oracle = generate_panel(sc, scopes=scopes)
+        state = generate_wave1_state(sc)
+        without_wave3 = compute_oracle(state, panel_from_state(state, {}), scopes=scopes)
+        assert oracle.expected_pct
+        assert oracle.to_dict() == without_wave3.to_dict()
 
 
 class TestReplicate:
