@@ -140,20 +140,28 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
     manifest_config: dict = {}
     if args.config:
         doc = vio.read_json(args.config)
-        if doc.get("kind") != "manifest":
+        if not isinstance(doc, dict) or doc.get("kind") != "manifest":
             raise IngestionError(f"{args.config}: not a manifest")
         if doc.get("command") != command:
             raise IngestionError(
                 f"{args.config}: manifest is for '{doc.get('command')}', not '{command}'"
             )
         manifest_config = doc.get("config", {})
+        if not isinstance(manifest_config, dict):
+            raise IngestionError(f"{args.config}: config is not an object")
     config = {}
     for name, default in defaults.items():
         cli_value = getattr(args, name)
         if cli_value is not None:
             config[name] = cli_value
         elif name in manifest_config:
-            config[name] = manifest_config[name]
+            config[name] = value = manifest_config[name]
+            # the default's type; a string where there is no default
+            accepts, expected = {int: (int, "an integer"), float: ((int, float), "a number")}.get(
+                type(default), (str, "a string"))
+            if isinstance(value, bool) or not isinstance(value, accepts):
+                raise IngestionError(f"--{name.replace('_', '-')}: expected {expected}, "
+                                     f"got {json.dumps(value)}")
         elif default is not None:
             config[name] = default
         else:
@@ -328,6 +336,7 @@ def run_dyadic(config: dict, outdir: Path) -> None:
 
 
 def run_wasserstein(config: dict, outdir: Path) -> None:
+    from .core import dosage_group
     from .metrics import metric_table
     from .stats import StatsError, wasserstein1, welch_ttest
 
@@ -337,12 +346,14 @@ def run_wasserstein(config: dict, outdir: Path) -> None:
     _require_directed(panel, layer, "degree_kind", kind)
     normalize = bool(int(config["normalize"]))
     table = metric_table(panel, layer, metrics=(kind,))
+    index = panel.index
     rows = []
     by_group: dict[str, list[float]] = {"control": [], "low": [], "high": []}
-    for village, members in zip(panel.index.villages, panel.index.members):
+    for village, members, alpha in zip(index.villages, index.members,
+                                       index.observed[0].tolist()):
         scale = members.size - 1 if normalize and members.size > 1 else 1
         w = wasserstein1(*(table.column(wave, kind)[members] / scale for wave in (1, 3)))
-        group = panel.design.dosage_group(village)
+        group = dosage_group(alpha)
         by_group[group].append(w)
         rows.append({"village_id": village, "dosage_group": group, "wasserstein": w})
     vio.write_distances(rows, outdir / "distances.csv")
@@ -369,7 +380,7 @@ def run_doseresponse(config: dict, outdir: Path) -> None:
     table = metric_table(panel, layer, metrics=(metric,))
     index = panel.index
     points = []
-    for village, rows in zip(index.villages, index.members):
+    for alpha, rows in zip(index.observed[0].tolist(), index.members):
         if group != "overall":
             rows = rows[index.observed[1][rows] == (group == "treated")]
         if not rows.size:
@@ -378,7 +389,7 @@ def run_doseresponse(config: dict, outdir: Path) -> None:
         m3, n3 = table.group_mean(3, metric, rows)
         if n1 == 0 or n3 == 0:
             continue   # no defined value at one wave
-        points.append((panel.design.village_dosages[village], m3 - m1))
+        points.append((alpha, m3 - m1))
     curve = loess_fit(points, span=float(config["span"]), degree=int(config["degree"]))
     vio.write_curve(curve, outdir / "doseresponse.csv")
     vio.write_points(points, outdir / "points.csv")

@@ -241,12 +241,6 @@ class TreatmentDesign:
     def villages(self) -> tuple[str, ...]:
         return tuple(sorted(self.village_dosages))
 
-    def dosage_group(self, village_id: str) -> str:
-        return dosage_group(self.village_dosages[village_id])
-
-    def households(self, village_id: str) -> tuple[str, ...]:
-        return tuple(sorted(self.assignments[village_id]))
-
 
 def infer_design(
     individuals: Collection[Individual],
@@ -430,8 +424,10 @@ class StudyIndex:
 
     Individuals are sorted by id study-wide (the `MetricTable` row order) and
     villages follow the design. ``members[k]`` holds the positions of village
-    k's members in its networks' node order; households are numbered village
-    by village, sorted within each, as `randomization.DesignIndex` draws them.
+    k's members in its networks' node order. Households, the unit of
+    treatment, are numbered village by village, sorted within each: village
+    k's are ``offsets[k]:offsets[k + 1]`` and ``household`` holds each
+    individual's code. Re-randomization draws in this one numbering.
     ``observed`` is the panel's own assignment as (dosage per village,
     treated flag per individual). Each `StudyPanel` builds its own once, as
     `StudyPanel.index`.
@@ -442,6 +438,7 @@ class StudyIndex:
     members: tuple[np.ndarray, ...]
     village: np.ndarray
     household: np.ndarray
+    offsets: tuple[int, ...]
     observed: tuple[np.ndarray, np.ndarray]
 
     @classmethod
@@ -453,13 +450,14 @@ class StudyIndex:
         # a village's members in id order, the order of its networks' nodes
         members = tuple(np.split(np.argsort(village, kind="stable"),
                                  np.cumsum(np.bincount(village, minlength=len(villages)))[:-1]))
-        households = ((v, h) for v in villages for h in design.households(v))
+        households = [(v, h) for v in villages for h in sorted(design.assignments[v])]
         code = {vh: k for k, vh in enumerate(households)}
+        offsets = (0, *np.cumsum([len(design.assignments[v]) for v in villages]).tolist())
         household = np.array([code[(p.village_id, p.household_id)] for p in people],
                              dtype=np.intp)
         dosages = np.array([design.village_dosages[v] for v in villages], dtype=float)
         treated = np.array([p.treated for p in people], dtype=bool)
-        return cls(individuals, villages, members, village, household, (dosages, treated))
+        return cls(individuals, villages, members, village, household, offsets, (dosages, treated))
 
 
 @dataclass

@@ -364,9 +364,10 @@ def estimand_correspondence(
     dyadic side; the node side compares wave-3 partner-status link rates:
     UU vs the spillover contrast on in-links from untreated, UT/TU vs the
     total-effect contrasts on in-links from / out-links to untreated, and TT
-    vs treated in-links from treated against the control baseline. ``data``
-    may pass in the layer's already built dyad dataset, so it is not built
-    twice.
+    vs treated in-links from treated against the control baseline. A node
+    contrast with a group that has no defined rate is NaN (written NA), with a
+    warning naming the term. ``data`` may pass in the layer's already built
+    dyad dataset, so it is not built twice.
     """
     if data is None:
         data = dyad_dataset(panel, layer)
@@ -380,9 +381,7 @@ def estimand_correspondence(
 
     def rate(group: np.ndarray, key: str) -> float:
         vals = rates[key][group & ~np.isnan(rates[key])]
-        if not vals.size:
-            raise DyadicError(f"no defined {key} rates in a correspondence group")
-        return float(np.mean(vals))
+        return float(np.mean(vals)) if vals.size else float("nan")
 
     baseline = rate(control, "in_from_untreated")
     pairings = [
@@ -397,6 +396,9 @@ def estimand_correspondence(
     ]
     rows = []
     for term, contrast, focal_desc, comp_desc in pairings:
+        if contrast != contrast:
+            log.warning("correspondence %s: %s or %s has no defined value; node contrast is NA",
+                        term, focal_desc, comp_desc)
         coef = fit.coefficients.get(term)
         est = coef.estimate if coef is not None else float("nan")
         rows.append(CorrespondenceRow(

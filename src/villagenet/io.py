@@ -415,8 +415,9 @@ def read_panel(path: str | Path) -> StudyPanel:
 def _panel_of(doc) -> StudyPanel:
     if not isinstance(doc, dict) or doc.get("kind") != "panel":
         raise IngestionError("not a panel archive")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise IngestionError(f"format version {doc.get('format_version')} unsupported")
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:   # true and 1.0 equal 1
+        raise IngestionError(f"format version {version} unsupported")
     records = doc.get("individuals", ())
     if not records:
         raise IngestionError("no individuals")

@@ -7,22 +7,21 @@ test statistic are recomputed per draw. Each draw owns an independent RNG
 stream derived from (master_seed, draw_index), so results are identical no
 matter how draws are split across worker processes.
 
-The design is compiled once per run into index arrays (`DesignIndex`): the
-observed dosage per village and each village's households as a slice of one
-global household order. Each individual's household index in that order comes
-from the panel's study-wide index (`core.StudyIndex.household`). A draw
-(`permute_assignment`, the only draw path) writes a dosage per village and a
-treated flag per household directly, with the same RNG calls in the same
-order as always: one ``permutation`` per block group (blocks sorted), then
-one ``choice(n_households, n_treated, replace=False)`` per village in design
-order. Individual treatment is one gather from the household flags, and each
-`effects.ContrastKernel` (one per layer and variant) turns the draw into its
-specs' statistics with one mask product. One run makes each draw once and
-every kernel evaluates it, so all contrasts share one set of null
-assignments; the observed statistic goes through the same kernels, so
-``|T| >= |obs|`` ties are decided by one code path. `effects.effect_suite`
-(many kernels) and `permutation_pvalue` (one spec, with its null draws) are
-two views of one body, `permuted_estimates`.
+A draw (`permute_assignment`, the only draw path) reads the study's one
+integer index (`core.StudyIndex`): the observed dosage per village and each
+village's households as the slice ``offsets[k]:offsets[k + 1]`` of one
+household numbering. It writes a dosage per village and a treated flag per
+household directly, with the same RNG calls in the same order as always: one
+``permutation`` per block group (`block_groups`, blocks sorted), then one
+``choice(n_households, n_treated, replace=False)`` per village in design
+order. Individual treatment is one gather from the household flags
+(`StudyIndex.household`), and each `effects.ContrastKernel` (one per layer and
+variant) turns the draw into its specs' statistics with one mask product. One
+run makes each draw once and every kernel evaluates it, so all contrasts share
+one set of null assignments; the observed statistic goes through the same
+kernels, so ``|T| >= |obs|`` ties are decided by one code path.
+`effects.effect_suite` (many kernels) and `permutation_pvalue` (one spec, with
+its null draws) are two views of one body, `permuted_estimates`.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import SIDES, StudyPanel, TreatmentDesign, treated_household_count
+from .core import SIDES, StudyIndex, StudyPanel, treated_household_count
 from .effects import ContrastKernel, ContrastSpec, EffectEstimate
 from .metrics import metric_table
 
@@ -53,52 +52,36 @@ def derive_stream(master_seed: int, draw_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-class DesignIndex:
-    """A treatment design compiled to index arrays for drawing assignments.
-
-    Villages follow the design's (sorted) order; households are numbered
-    village by village, in sorted order within each village, as in
-    `core.StudyIndex.household`.
-    """
-
-    def __init__(self, design: TreatmentDesign, blocks: Mapping[str, str] | None = None):
-        self.villages = design.villages
-        self.labels = np.array([design.village_dosages[v] for v in self.villages], dtype=float)
-        self.sizes = [len(design.households(v)) for v in self.villages]
-        self.offsets = [0, *np.cumsum(self.sizes).tolist()]
-        if blocks is None:
-            self.groups = [np.arange(len(self.villages))]
-        else:
-            missing = [v for v in self.villages if v not in blocks]
-            if missing:
-                raise RandomizationError(f"villages without a block label: {missing}")
-            self.groups = [np.array([k for k, v in enumerate(self.villages) if blocks[v] == b])
-                           for b in sorted(set(blocks[v] for v in self.villages))]
+def block_groups(villages: Sequence[str],
+                 blocks: Mapping[str, str] | None = None) -> list[np.ndarray]:
+    """Village positions permuted together: one array per sorted block, or one of all."""
+    if blocks is None:
+        return [np.arange(len(villages))]
+    missing = [v for v in villages if v not in blocks]
+    if missing:
+        raise RandomizationError(f"villages without a block label: {missing}")
+    return [np.array([k for k, v in enumerate(villages) if blocks[v] == b])
+            for b in sorted(set(blocks[v] for v in villages))]
 
 
-def permute_assignment(design: DesignIndex,
+def permute_assignment(study: StudyIndex, groups: Sequence[np.ndarray],
                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One two-stage re-randomization of the observed design.
 
-    Stage 1 permutes the observed dosage labels across villages (within the
-    design's blocks), preserving the dosage multiset exactly. Stage 2 samples
-    a uniform treated-household subset of the dosage-implied size. Returns a
-    dosage per village and a treated flag per household, in `DesignIndex`
-    order.
+    Stage 1 permutes the observed dosage labels across villages within each
+    of ``groups``, preserving the dosage multiset exactly. Stage 2 samples a
+    uniform treated-household subset of the dosage-implied size (at most the
+    village's households, as every dosage is at most 1). Returns a dosage per
+    village and a treated flag per household, in `StudyIndex` order.
     """
-    dosages = np.empty_like(design.labels)
-    for group in design.groups:
-        dosages[group] = design.labels[group][rng.permutation(group.size)]
-    treated = np.zeros(design.offsets[-1], dtype=bool)
-    for village, alpha, n_households, offset in zip(design.villages, dosages.tolist(),
-                                                    design.sizes, design.offsets):
-        n_treated = treated_household_count(alpha, n_households)
-        if n_treated > n_households:
-            raise RandomizationError(
-                f"village {village}: dosage {alpha} demands {n_treated} treated "
-                f"households but only {n_households} exist"
-            )
-        treated[offset + rng.choice(n_households, size=n_treated, replace=False)] = True
+    labels, offsets = study.observed[0], study.offsets
+    dosages = np.empty_like(labels)
+    for group in groups:
+        dosages[group] = labels[group][rng.permutation(group.size)]
+    treated = np.zeros(offsets[-1], dtype=bool)
+    for alpha, lo, hi in zip(dosages.tolist(), offsets, offsets[1:]):
+        n_treated = treated_household_count(alpha, hi - lo)
+        treated[lo + rng.choice(hi - lo, size=n_treated, replace=False)] = True
     return dosages, treated
 
 
@@ -126,8 +109,9 @@ class PermutationResult:
     skipped: int = 0
 
 
-def _null_chunk(kernels: Sequence[ContrastKernel], design: DesignIndex, household: np.ndarray,
-                master_seed: int, scaling: str, start: int, stop: int) -> np.ndarray:
+def _null_chunk(kernels: Sequence[ContrastKernel], study: StudyIndex,
+                groups: Sequence[np.ndarray], master_seed: int, scaling: str,
+                start: int, stop: int) -> np.ndarray:
     """Null statistics of draws start..stop-1, one column per draw.
 
     Each draw is made once; every kernel evaluates it into its own rows.
@@ -136,8 +120,8 @@ def _null_chunk(kernels: Sequence[ContrastKernel], design: DesignIndex, househol
     rows = [(kernel, slice(lo, hi)) for kernel, lo, hi in zip(kernels, bounds, bounds[1:])]
     out = np.empty((bounds[-1], stop - start))
     for j in range(start, stop):
-        dosages, treated = permute_assignment(design, derive_stream(master_seed, j))
-        treated = treated[household]
+        dosages, treated = permute_assignment(study, groups, derive_stream(master_seed, j))
+        treated = treated[study.household]
         for kernel, block in rows:
             out[block, j - start] = kernel.evaluate(dosages, treated, scaling).pct
     return out
@@ -154,13 +138,14 @@ def null_statistics(
 ) -> np.ndarray:
     """(specs, permutations) null statistics of the kernels' specs; NaN marks a skipped draw.
 
-    Rows follow the kernels' specs in order. The design is compiled once and
-    every kernel reads the same draws. With ``threads`` > 1 contiguous chunks
-    of draws run in one pool of forked worker processes, which receive only
-    the compiled kernels and design.
+    Rows follow the kernels' specs in order. The block groups are formed once
+    and every kernel reads the same draws. With ``threads`` > 1 contiguous
+    chunks of draws run in one pool of forked worker processes, which receive
+    only the compiled kernels, the study index and the groups.
     """
-    design = DesignIndex(panel.design, blocks)
-    chunk = partial(_null_chunk, kernels, design, panel.index.household, master_seed, scaling)
+    study = panel.index
+    chunk = partial(_null_chunk, kernels, study, block_groups(study.villages, blocks),
+                    master_seed, scaling)
     if threads <= 1 or permutations < 2 * threads:
         return chunk(0, permutations)
     import multiprocessing

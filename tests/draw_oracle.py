@@ -151,7 +151,7 @@ def permute_assignment(design: TreatmentDesign, rng: np.random.Generator,
 
     treatments: dict[str, dict[str, bool]] = {}
     for v in villages:
-        households = design.households(v)
+        households = sorted(design.assignments[v])
         n_treated = treated_household_count(new_dosages[v], len(households))
         chosen = rng.choice(len(households), size=n_treated, replace=False)
         mask = set(int(c) for c in chosen)
@@ -319,4 +319,4 @@ def draw_by_id(design: TreatmentDesign, draw: tuple[np.ndarray, np.ndarray]):
     dosages, treated = draw
     flags = iter(treated.tolist())
     return (dict(zip(design.villages, dosages.tolist())),
-            {v: {h: next(flags) for h in design.households(v)} for v in design.villages})
+            {v: {h: next(flags) for h in sorted(design.assignments[v])} for v in design.villages})

@@ -231,6 +231,13 @@ class TestArchiveFaults:
                       f"village {village}: dosage 'x' is not a number")
 
     @pytest.mark.parametrize("command", ANALYSES)
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_format_version_other_than_the_integer_1(self, sim, tmp_path, capsys, command,
+                                                     version):
+        doc = dict(self._doc(sim), format_version=version)
+        self._exits_2(doc, tmp_path, capsys, command, f"format version {version} unsupported")
+
+    @pytest.mark.parametrize("command", ANALYSES)
     def test_no_individuals(self, sim, tmp_path, capsys, command):
         doc = dict(self._doc(sim), individuals=[], village_dosages={}, networks={})
         self._exits_2(doc, tmp_path, capsys, command, "no individuals")
@@ -429,16 +436,39 @@ class TestSubcommands:
         assert code == 2
         assert "--threads must be >= 1" in capsys.readouterr().err
 
-    def test_runtime_failure_exit_1(self, sim, tmp_path):
-        # valid options on a panel the analysis cannot use: the dyadic
-        # correspondence needs a control village for its baseline rate
+    def test_runtime_failure_exit_1(self, sim, tmp_path, capsys):
+        # valid options on a panel the analysis cannot use: the effect
+        # contrasts need control villages for their comparison group
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({**SCENARIO, "arms": [[0.5, 2]]}))
         assert main(["simulate", "--scenario", str(scenario),
                      "--out", str(tmp_path / "sim")]) == 0
-        code = main(["dyadic", "--panel", str(tmp_path / "sim" / "panel.json"),
-                     "--layer", "health", "--out", str(tmp_path / "bad")])
+        code = main(["effects", "--panel", str(tmp_path / "sim" / "panel.json"),
+                     "--layers", "health", "--out", str(tmp_path / "bad")])
         assert code == 1
+        assert "no control villages available" in capsys.readouterr().err
+
+    def test_dyadic_correspondence_without_a_defined_rate_writes_na(self, tmp_path, caplog):
+        # no treated node of this panel has an untreated partner in its village,
+        # so the UT and TU node contrasts have no defined rate
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "seed": 3, "arms": [[0.0, 2], [0.2, 1], [0.75, 1]], "village_size": [6, 8],
+            "layers": ["health", "friendship", "financial"],
+            "edge_density": {"health": 0.2, "friendship": 0.2, "financial": 0.2}}))
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "sim")]) == 0
+        out = tmp_path / "dyadic"
+        assert main(["dyadic", "--panel", str(tmp_path / "sim" / "panel.json"),
+                     "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
+        rows = {line.split(",")[0]: line.split(",")[2:]
+                for line in (out / "correspondence.csv").read_text().splitlines()[2:]}
+        assert rows["UT"] == rows["TU"] == ["NA", "0"]
+        assert "NA" not in rows["UU"] + rows["TT"]
+        for term in ("UT", "TU"):
+            assert f"correspondence {term}: " in caplog.text
+        assert "correspondence UU: " not in caplog.text
 
     @pytest.mark.parametrize("command,option", [
         ("metrics", "--layer"), ("permtest", "--layer"), ("dyadic", "--layer"),
@@ -570,6 +600,37 @@ class TestReproducibility:
         results = {name: digest for name, digest in digest_dir(a).items()
                    if name != "manifest.json"}
         assert results and results.items() <= digest_dir(b).items()
+
+    @pytest.mark.parametrize("command,name,value,expected", [
+        ("doseresponse", "span", "x", 'expected a number, got "x"'),
+        ("doseresponse", "degree", "two", 'expected an integer, got "two"'),
+        ("effects", "threads", "x", 'expected an integer, got "x"'),
+        ("effects", "permutations", 2.5, "expected an integer, got 2.5"),
+        ("effects", "seed", True, "expected an integer, got true"),
+        ("metrics", "panel", 5, "expected a string, got 5"),
+        ("permtest", "sided", ["two"], 'expected a string, got ["two"]'),
+    ])
+    def test_manifest_value_of_the_wrong_type_exit_2(self, sim, tmp_path, capsys, command,
+                                                       name, value, expected):
+        assert main([command, "--panel", str(sim["sim"] / "panel.json"),
+                     "--out", str(tmp_path / "a")]) == 0
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        manifest["config"][name] = value
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main([command, "--config", str(bad), "--out", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == f"error: --{name}: {expected}\n"
+
+    @pytest.mark.parametrize("doc,message", [
+        ([1], "not a manifest"),
+        ({"kind": "manifest", "command": "metrics", "config": 5}, "config is not an object"),
+    ])
+    def test_manifest_not_an_object_exit_2(self, tmp_path, capsys, doc, message):
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["metrics", "--config", str(bad), "--out", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     def test_manifest_rejects_wrong_command(self, sim, capsys):
         a = sim["root"] / "m1"

@@ -1,8 +1,11 @@
 """Ingestion, inclusion criteria, and layer construction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from villagenet.core import (
+    ALLOWED_DOSAGES,
     DEFAULT_LAYER_SPECS,
     IngestionError,
     Individual,
@@ -284,6 +287,40 @@ class TestDesign:
     def test_design_validates_treated_count(self):
         with pytest.raises(IngestionError, match="inconsistent"):
             TreatmentDesign({"v1": 0.5}, {"v1": {"h1": True, "h2": False, "h3": False}})
+
+
+@st.composite
+def household_panels(draw):
+    """1-4 villages of 1-5 households (ids not in sorted order) with 1-3 members each."""
+    villages = {}
+    for v in range(draw(st.integers(1, 4))):
+        vid = f"v{v}"
+        hids = draw(st.lists(st.text("abc", min_size=1, max_size=3), min_size=1, max_size=5,
+                             unique=True))
+        households = {f"{vid}{h}": [f"{vid}{h}m{m}" for m in range(draw(st.integers(1, 3)))]
+                      for h in hids}
+        alpha = draw(st.sampled_from(ALLOWED_DOSAGES))
+        order = draw(st.permutations(sorted(households)))
+        villages[vid] = {"dosage": alpha, "households": households,
+                         "treated": order[:treated_household_count(alpha, len(order))]}
+    return make_panel(villages)
+
+
+class TestStudyIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(panel=household_panels())
+    def test_household_codes_lie_in_their_village_slice(self, panel):
+        index, assignments = panel.index, panel.design.assignments
+        offsets = index.offsets
+        assert offsets[0] == 0 and len(offsets) == len(index.villages) + 1
+        assert offsets[-1] == sum(len(households) for households in assignments.values())
+        for k, iid in enumerate(index.individuals):
+            v = int(index.village[k])
+            assert offsets[v] <= index.household[k] < offsets[v + 1]
+            # within the slice, households follow their sorted ids
+            person = panel.individuals[iid]
+            rank = sorted(assignments[person.village_id]).index(person.household_id)
+            assert index.household[k] == offsets[v] + rank
 
 
 class TestBuildPanel:

@@ -23,8 +23,8 @@ from villagenet.effects import (
 )
 from villagenet.metrics import metric_table
 from villagenet.randomization import (
-    DesignIndex,
     RandomizationError,
+    block_groups,
     derive_stream,
     null_statistics,
     permutation_pvalue,
@@ -129,9 +129,9 @@ def test_observed_estimates_and_groups_match_oracle(seed, blocked, variant, metr
 def test_permute_assignment_keeps_the_rng_call_order(seed, blocked):
     panel = random_panel(seed)
     blocks = blocks_for(panel, seed) if blocked else None
-    design = DesignIndex(panel.design, blocks)
+    groups = block_groups(panel.index.villages, blocks)
     for j in range(5):
-        draw = permute_assignment(design, derive_stream(seed, j))
+        draw = permute_assignment(panel.index, groups, derive_stream(seed, j))
         want = draw_oracle.permute_assignment(panel.design, derive_stream(seed, j), blocks)
         assert draw_oracle.draw_by_id(panel.design, draw) == want
 

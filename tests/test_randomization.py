@@ -14,8 +14,8 @@ from villagenet.core import CONTRAST_KINDS, DOSAGE_SCOPES, Individual, StudyPane
 from villagenet.effects import ContrastSpec, effect_suite
 from villagenet.networks import LayerNetwork
 from villagenet.randomization import (
-    DesignIndex,
     RandomizationError,
+    block_groups,
     derive_stream,
     permute_assignment,
     permutation_pvalue,
@@ -51,8 +51,24 @@ class TestDeriveStream:
         assert p > 0.01
 
 
-def two_arm_design():
-    return TreatmentDesign(
+def design_panel(dosages: dict, assignments: dict) -> StudyPanel:
+    """A panel of one member per household with the given design and no ties."""
+    return make_panel({v: {"dosage": alpha,
+                           "households": {h: [f"{h}m"] for h in assignments[v]},
+                           "treated": [h for h, t in assignments[v].items() if t]}
+                       for v, alpha in dosages.items()})
+
+
+def id_draws(panel: StudyPanel, seed: int, n: int, blocks=None):
+    """The first n re-randomizations of the panel, by id."""
+    index = panel.index
+    groups = block_groups(index.villages, blocks)
+    return [draw_by_id(panel.design, permute_assignment(index, groups, derive_stream(seed, i)))
+            for i in range(n)]
+
+
+def two_arm_panel():
+    return design_panel(
         {"a": 0.0, "b": 1.0},
         {"a": {"a1": False, "a2": False}, "b": {"b1": True, "b2": True}},
     )
@@ -60,21 +76,11 @@ def two_arm_design():
 
 class TestPermuteAssignment:
     def test_two_villages_two_possible_stage1_draws(self):
-        design = two_arm_design()
-        index = DesignIndex(design)
-        seen = set()
-        for i in range(64):
-            draw = permute_assignment(index, derive_stream(3, i))
-            dosages, treatments = draw_by_id(design, draw)
-            seen.add((dosages["a"], dosages["b"]))
+        seen = {(dosages["a"], dosages["b"]) for dosages, _ in id_draws(two_arm_panel(), 3, 64)}
         assert seen == {(0.0, 1.0), (1.0, 0.0)}
 
     def test_zero_dosage_village_never_treated(self):
-        design = two_arm_design()
-        index = DesignIndex(design)
-        for i in range(32):
-            draw = permute_assignment(index, derive_stream(4, i))
-            dosages, treatments = draw_by_id(design, draw)
+        for dosages, treatments in id_draws(two_arm_panel(), 4, 32):
             for village, alpha in dosages.items():
                 n_treated = sum(treatments[village].values())
                 if alpha == 0.0:
@@ -83,37 +89,31 @@ class TestPermuteAssignment:
                     assert n_treated == 2
 
     def test_dosage_multiset_preserved(self):
-        design = TreatmentDesign(
+        panel = design_panel(
             {"a": 0.0, "b": 0.2, "c": 0.5, "d": 0.5},
             {"a": {"h1": False, "h2": False},
              "b": {"h3": False, "h4": False, "h5": False, "h6": False, "h7": True},
              "c": {"h8": True, "h9": False},
              "d": {"ha": True, "hb": False}},
         )
-        want = Counter(design.village_dosages.values())
-        index = DesignIndex(design)
-        for i in range(10_000):
-            draw = permute_assignment(index, derive_stream(5, i))
-            dosages, treatments = draw_by_id(design, draw)
+        want = Counter(panel.design.village_dosages.values())
+        for dosages, _ in id_draws(panel, 5, 10_000):
             assert Counter(dosages.values()) == want
 
     def test_blocks_confine_permutation(self):
-        design = TreatmentDesign(
+        panel = design_panel(
             {"a": 0.0, "b": 1.0, "c": 0.0, "d": 1.0},
             {"a": {"h1": False}, "b": {"h2": True},
              "c": {"h3": False}, "d": {"h4": True}},
         )
         blocks = {"a": "x", "b": "x", "c": "y", "d": "y"}
-        index = DesignIndex(design, blocks)
-        for i in range(50):
-            draw = permute_assignment(index, derive_stream(6, i))
-            dosages, treatments = draw_by_id(design, draw)
+        for dosages, _ in id_draws(panel, 6, 50, blocks):
             assert {dosages["a"], dosages["b"]} == {0.0, 1.0}
             assert {dosages["c"], dosages["d"]} == {0.0, 1.0}
 
     def test_missing_block_label_errors(self):
-        with pytest.raises(RandomizationError, match="block"):
-            DesignIndex(two_arm_design(), {"a": "x"})
+        with pytest.raises(RandomizationError, match="villages without a block label"):
+            block_groups(("a", "b"), {"a": "x"})
 
 
 class TestPvalueFormula:
@@ -351,8 +351,7 @@ class TestSharedDraws:
                   else None)
         draws = multiprocessing.get_context("fork").Value("i", 0)  # shared with forked workers
         counts = Counter()
-        real_draw, real_compile = (randomization.permute_assignment,
-                                   randomization.DesignIndex.__init__)
+        real_draw, real_groups = randomization.permute_assignment, randomization.block_groups
         real_pool = concurrent.futures.ProcessPoolExecutor
 
         def permute_assignment(*args):
@@ -360,9 +359,9 @@ class TestSharedDraws:
                 draws.value += 1
             return real_draw(*args)
 
-        def compile_design(*args):
-            counts["designs"] += 1
-            real_compile(*args)
+        def block_groups(*args):
+            counts["groups"] += 1
+            return real_groups(*args)
 
         class Pool(real_pool):
             def __init__(self, *args, **kwargs):
@@ -370,11 +369,11 @@ class TestSharedDraws:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(randomization, "permute_assignment", permute_assignment)
-        monkeypatch.setattr(randomization.DesignIndex, "__init__", compile_design)
+        monkeypatch.setattr(randomization, "block_groups", block_groups)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         shared = self._suite(panel, self.LAYERS, self.VARIANTS, threads, blocks)
         assert draws.value == self.M
-        assert counts == Counter(designs=1, pools=int(threads > 1))
+        assert counts == Counter(groups=1, pools=int(threads > 1))
         assert len(shared) == 2 * 2 * 2 * 4
 
         separate = [est for layer in self.LAYERS for variant in self.VARIANTS
