@@ -42,8 +42,8 @@ from .networks import NetworkError
 
 log = logging.getLogger("villagenet")
 
-VALIDATION_ERRORS = (IngestionError, NetworkError, ScenarioError,
-                     FileNotFoundError, json.JSONDecodeError)
+VALIDATION_ERRORS = (IngestionError, NetworkError, ScenarioError, json.JSONDecodeError,
+                     FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError)
 
 
 def _parse_list(value: str) -> list[str]:
@@ -167,16 +167,22 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         else:
             raise IngestionError(f"missing required option --{name.replace('_', '-')}")
     # permtest needs at least one draw; effects and replicate take 0 as "no p-values"
-    minimums = {"threads": 1, "permutations": 1 if command == "permtest" else 0}
-    for name, low in minimums.items():
-        if name in config and int(config[name]) < low:
-            raise IngestionError(f"--{name} must be >= {low}, got {config[name]}")
+    low = 1 if command == "permtest" else 0
+    for name, fits, allowed in (("threads", lambda x: x >= 1, ">= 1"),
+                                ("permutations", lambda x: x >= low, f">= {low}"),
+                                ("span", lambda x: 0 < x <= 1, "in (0, 1]"),
+                                ("degree", lambda x: x in (1, 2), "1 or 2")):
+        if name in config and not fits(config[name]):
+            raise IngestionError(f"--{name} must be {allowed}, got {config[name]}")
     for name, allowed in CHOICES.items():
         if name not in config:
             continue
         raw = str(config[name])
         if name == "variants":
-            values = [flag for group in _parse_variants(raw) for flag in group]
+            groups = _parse_variants(raw)
+            if len(groups) > 1 and command in ("metrics", "permtest"):
+                raise IngestionError(f"--variants: {command} takes one variant group")
+            values = [flag for group in groups for flag in group]
         else:
             values = _parse_list(raw) if name in LIST_OPTIONS else [raw]
         for value in values:
@@ -194,12 +200,8 @@ def _blocks_from(config: dict, panel) -> dict[str, str] | None:
     return vio.read_blocks(token, panel.villages)
 
 
-def _manifest_config(config: dict) -> dict:
-    return {k: v for k, v in config.items() if k not in RUNTIME_ONLY}
-
-
 def _finish(command: str, config: dict, outdir: Path) -> None:
-    vio.write_manifest(command, _manifest_config(config),
+    vio.write_manifest(command, {k: v for k, v in config.items() if k not in RUNTIME_ONLY},
                        outdir / "manifest.json", __version__)
 
 

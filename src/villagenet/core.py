@@ -496,8 +496,6 @@ class StudyPanel:
                 raise ValueError(f"unknown variant flag {flag}")
         if layer not in ALL_LAYERS:
             raise ValueError(f"unknown layer {layer}")
-        if "residual" in variants and layer not in RESIDUAL_TARGETS:
-            raise ValueError(f"residual variant undefined for layer {layer}")
         key = (village, wave, layer, variants)
         if key in self._networks:
             return self._networks[key]

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import OUTCOMES, SCHEMES, StudyPanel, has_treated_neighbor
+from .core import OUTCOMES, SCHEMES, StudyPanel, has_treated_neighbor  # noqa: F401 (re-export)
 
 log = logging.getLogger(__name__)
 
@@ -285,8 +285,6 @@ def fit_logistic_irls(
     """
     if outcome not in OUTCOMES:
         raise DyadicError(f"unknown outcome {outcome}")
-    if category_scheme not in SCHEMES:
-        raise DyadicError(f"unknown category scheme {category_scheme}")
     names, counts = data.tallies(category_scheme)
     trial_states, success_states = _OUTCOME_STATES[outcome]
     trials = counts[:, trial_states].sum(axis=1)

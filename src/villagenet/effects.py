@@ -112,10 +112,8 @@ def _in_scope(study: StudyIndex, dosages: np.ndarray, scope: str) -> np.ndarray:
     """Members of the treated-side villages a dosage scope selects."""
     if scope == "all":
         villages = dosages != 0.0
-    elif scope in ("low", "high"):
+    else:   # "low" or "high"; `ContrastSpec` rejects any other scope
         villages = np.isin(dosages, tuple(LOW_DOSAGES if scope == "low" else HIGH_DOSAGES))
-    else:
-        raise EffectError(f"unknown dosage scope {scope}")
     return villages[study.village]
 
 

@@ -20,7 +20,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,13 +52,13 @@ _TRUE = {"1", "true", "t", "yes"}
 _FALSE = {"0", "false", "f", "no"}
 
 
-def _parse_bool(token: str, line: int, column: str) -> bool:
+def _parse_bool(token: str) -> bool:
     t = token.strip().lower()
     if t in _TRUE:
         return True
     if t in _FALSE:
         return False
-    raise IngestionError(f"line {line}: column {column}: cannot parse boolean {token!r}")
+    raise ValueError(token)
 
 
 def _read_lines(path: str | Path) -> tuple[np.ndarray, list[str]]:
@@ -100,33 +100,40 @@ def _read_rows(path: str | Path) -> tuple[list[int], list[list[str]]]:
     return numbers.tolist(), [line.split(",") for line in lines]
 
 
-def _split_columns(lines: list[str], width: int) -> list[list[str]] | None:
-    """The lines' comma-separated fields as ``width`` columns; None if a line has another count."""
-    commas = list(map(str.count, lines, repeat(",")))
-    if commas.count(width - 1) != len(lines):
-        return None
-    if not lines:
-        return [[] for _ in range(width)]
-    fields = ",".join(lines).split(",")
-    return [fields[k::width] for k in range(width)]
+# A validated column: its field position, its parser, and the fault message for a
+# field (as read) that the parser rejects with the given exception.
+_Rule = tuple[int, Callable[[str], object], Callable[[str, Exception], str]]
 
 
-def _parse_column(tokens: Sequence[str], parse: Callable[[str], object]) -> list | None:
-    """parse(token) for every token, each distinct token parsed once; None if one fails."""
-    value = {}
-    try:
-        for token in set(tokens):
-            value[token] = parse(token)
-    except (IngestionError, ValueError, OverflowError):
-        return None
-    return list(map(value.__getitem__, tokens))
+def _parse_rows(path: str | Path, numbers: np.ndarray, lines: list[str], width: int,
+                rules: Sequence[_Rule]) -> tuple[list[list[str]], list[list]]:
+    """The lines as ``width`` columns, and each rule's column parsed, in rule order.
 
-
-def _scan(path: str | Path, numbers: np.ndarray, lines: list[str],
-          check: Callable[[int, list[str]], None]) -> NoReturn:
-    """Raise the error of the first bad line, once a column-wise check has found one."""
+    Columns are split and parsed whole. If a line has another field count or a
+    parser rejects a field, the lines are scanned for the first bad one; within
+    a line the field count is checked first, then the rules in order.
+    """
+    if list(map(str.count, lines, repeat(","))).count(width - 1) == len(lines):
+        fields = ",".join(lines).split(",") if lines else []
+        columns = [fields[k::width] for k in range(width)]
+        del fields
+        try:   # each distinct field of a column parsed once
+            value = [{token: parse(token) for token in set(columns[k])} for k, parse, _ in rules]
+        except (ValueError, OverflowError):
+            pass
+        else:
+            return columns, [list(map(v.__getitem__, columns[k]))
+                             for v, (k, _, _) in zip(value, rules)]
     for lineno, line in zip(numbers.tolist(), lines):
-        check(lineno, line.split(","))
+        fields = line.split(",")
+        if len(fields) != width:
+            raise IngestionError(
+                f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
+        for k, parse, fault in rules:
+            try:
+                parse(fields[k])
+            except (ValueError, OverflowError) as exc:
+                raise IngestionError(f"{path}: line {lineno}: {fault(fields[k], exc)}") from None
     raise AssertionError(f"{path}: a column-wise check failed on no line")
 
 
@@ -148,74 +155,43 @@ def read_roster(path: str | Path) -> RosterTable:
         if extras.count(name) > 1:
             raise IngestionError(f"{path}: line {lineno}: duplicate column {name}")
     covariate_cols = [c for c in extras if c not in ROSTER_OPTIONAL]
-    flags = [c for c in ("treated", "wave1_present", "wave3_present", "forms_complete")
-             if c in header]
-    numbers, lines = numbers[1:], lines[1:]
-
-    def check(lineno: int, fields: list[str]) -> None:
-        if len(fields) != len(header):
-            raise IngestionError(
-                f"{path}: line {lineno}: expected {len(header)} fields, got {len(fields)}"
-            )
-        rec = dict(zip(header, fields))
-        for c in covariate_cols:
-            token = rec[c].strip()
-            if token:
-                try:
-                    float(token)
-                except ValueError:
-                    raise IngestionError(
-                        f"{path}: line {lineno}: covariate {c} is not numeric: {token!r}"
-                    ) from None
-        dosage_token = rec.get("village_dosage", "").strip()
-        if dosage_token:
-            try:
-                float(dosage_token)
-            except ValueError:
-                raise IngestionError(
-                    f"{path}: line {lineno}: village_dosage is not numeric: "
-                    f"{dosage_token!r}"
-                ) from None
-        for c in flags:
-            _parse_bool(rec[c], lineno, c)
-
-    columns = _split_columns(lines, len(header))
-    if columns is None:
-        _scan(path, numbers, lines, check)
     position = {name: k for k, name in enumerate(header)}   # the last of a repeated name
+    # the validated columns by name, in the order a line's faults are reported
+    rules = [(c, _number_or_none, lambda t, _, c=c: f"covariate {c} is not numeric: {t.strip()!r}")
+             for c in covariate_cols]
+    rules.append(("village_dosage", _number_or_none,
+                  lambda t, _: f"village_dosage is not numeric: {t.strip()!r}"))
+    rules += [(c, _parse_bool, lambda t, _, c=c: f"column {c}: cannot parse boolean {t!r}")
+              for c in ("treated", "wave1_present", "wave3_present", "forms_complete")]
+    rules = [rule for rule in rules if rule[0] in position]
+    numbers, lines = numbers[1:], lines[1:]
+    columns, values = _parse_rows(path, numbers, lines, len(header),
+                                  [(position[c], parse, fault) for c, parse, fault in rules])
+    covariates = dict(zip(covariate_cols, values))
+    parsed = {c: v for (c, _, _), v in zip(rules[len(covariates):], values[len(covariates):])}
     n = len(lines)
 
-    def column(name: str) -> list[str] | None:
-        return columns[position[name]] if name in position else None
-
-    def parsed(name: str, parse: Callable[[str], object], absent: object) -> list:
-        tokens = column(name)
-        if tokens is None:
-            return [absent] * n
-        values = _parse_column(tokens, parse)
-        if values is None:
-            _scan(path, numbers, lines, check)
-        return values
-
     def flag(name: str) -> np.ndarray:
-        return np.array(parsed(name, lambda t: _parse_bool(t, 0, name), True), dtype=bool)
+        return np.array(parsed[name] if name in parsed else [True] * n, dtype=bool)
+
+    def stripped(name: str) -> list[str]:
+        return list(map(str.strip, columns[position[name]]))
 
     def optional_id(name: str) -> list[str | None]:
-        tokens = column(name)
-        return [None] * n if tokens is None else [t.strip() or None for t in tokens]
+        return [t or None for t in stripped(name)] if name in position else [None] * n
 
     return RosterTable(
-        individual_id=list(map(str.strip, column("individual_id"))),
-        household_id=list(map(str.strip, column("household_id"))),
-        village_id=list(map(str.strip, column("village_id"))),
+        individual_id=stripped("individual_id"),
+        household_id=stripped("household_id"),
+        village_id=stripped("village_id"),
         treated=flag("treated"),
         wave1_present=flag("wave1_present"),
         wave3_present=flag("wave3_present"),
         forms_complete=flag("forms_complete"),
         wave3_household_id=optional_id("wave3_household_id"),
         wave3_village_id=optional_id("wave3_village_id"),
-        village_dosage=parsed("village_dosage", _number_or_none, None),
-        covariates={c: parsed(c, _number_or_none, None) for c in covariate_cols},
+        village_dosage=parsed.get("village_dosage", [None] * n),
+        covariates=covariates,
         line=numbers,
     )
 
@@ -227,6 +203,12 @@ def _parse_wave(token: str) -> int:
     return wave
 
 
+def _wave_fault(token: str, exc: Exception) -> str:
+    if isinstance(exc, OverflowError):
+        return f"wave {token.strip()} is out of range"
+    return f"wave is not an integer: {token.strip()!r}"
+
+
 def read_edges(path: str | Path) -> ResponseTable:
     numbers, lines = _read_lines(path)
     lineno, header = int(numbers[0]), lines[0].split(",")
@@ -235,33 +217,13 @@ def read_edges(path: str | Path) -> ResponseTable:
             f"{path}: line {lineno}: edge header must be {','.join(EDGE_COLUMNS)}"
         )
     numbers, lines = numbers[1:], lines[1:]
-
-    def check(lineno: int, fields: list[str]) -> None:
-        if len(fields) != len(EDGE_COLUMNS):
-            raise IngestionError(
-                f"{path}: line {lineno}: expected {len(EDGE_COLUMNS)} fields, "
-                f"got {len(fields)}"
-            )
-        token = fields[0].strip()
-        try:
-            _parse_wave(token)
-        except ValueError:
-            raise IngestionError(
-                f"{path}: line {lineno}: wave is not an integer: {token!r}"
-            ) from None
-        except OverflowError:
-            raise IngestionError(f"{path}: line {lineno}: wave {token} is out of range") from None
-
-    columns = _split_columns(lines, len(EDGE_COLUMNS))
-    wave = None if columns is None else CodedColumn.of(columns[0])
-    waves = None if wave is None else _parse_column(wave.labels, _parse_wave)
-    if waves is None:
-        _scan(path, numbers, lines, check)
+    columns, (waves,) = _parse_rows(path, numbers, lines, len(EDGE_COLUMNS),
+                                    [(0, _parse_wave, _wave_fault)])
     del lines
-    n = len(wave)
+    n = len(waves)
     people = CodedColumn.of(columns[3] + columns[4]).relabel(str.strip)
     return ResponseTable(
-        wave=np.array(waves, dtype=np.int64)[wave.codes],
+        wave=np.array(waves, dtype=np.int64),
         village_id=CodedColumn.of(columns[1]).relabel(str.strip),
         question_id=CodedColumn.of(columns[2]).relabel(str.strip),
         ego=CodedColumn(people.labels, people.codes[:n]),
@@ -291,7 +253,12 @@ def read_layer_map(path: str | Path) -> list[LayerSpec]:
                 raise IngestionError(
                     f"{path}: line {lineno}: question {question} mapped twice"
                 )
-        per_layer.setdefault(layer, {})[question] = _parse_bool(inverted, lineno, "inverted")
+        try:
+            flag = _parse_bool(inverted)
+        except ValueError:
+            raise IngestionError(f"{path}: line {lineno}: column inverted: "
+                                 f"cannot parse boolean {inverted!r}") from None
+        per_layer.setdefault(layer, {})[question] = flag
     missing = [l for l in BASE_LAYERS if l not in per_layer]
     if missing:
         raise IngestionError(f"{path}: no questions mapped for layers {missing}")
@@ -443,14 +410,12 @@ def _panel_of(doc) -> StudyPanel:
         repeated = [i for i, n in Counter(rec["id"] for rec in records).items() if n > 1]
         raise IngestionError(f"individual {repeated[0]} listed twice")
     declared = doc.get("village_dosages", {})
-    try:
-        dosages = {v: float(a) for v, a in declared.items()}
-    except (TypeError, ValueError):   # the first dosage that float() rejects
-        for v, a in declared.items():
-            try:
-                float(a)
-            except (TypeError, ValueError):
-                raise IngestionError(f"village {v}: dosage {a!r} is not a number") from None
+    dosages = {}
+    for v, a in declared.items():
+        try:
+            dosages[v] = float(a)
+        except (TypeError, ValueError):
+            raise IngestionError(f"village {v}: dosage {a!r} is not a number") from None
     design = infer_design(individuals.values(), dosages, infer_missing=False)
     members: dict[str, list[str]] = {}
     for iid in sorted(individuals):
@@ -529,10 +494,12 @@ def fmt_value(x) -> str:
     return str(x)
 
 
-def _write_lines(path: str | Path, kind: str, header: str,
+def _write_lines(path: str | Path, kind: str | None, header: str,
                  lines: Iterable[str]) -> None:
+    """The header and lines, after a format line naming ``kind`` (none for an input file)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# format: villagenet/{kind} v{FORMAT_VERSION}\n")
+        if kind:
+            fh.write(f"# format: villagenet/{kind} v{FORMAT_VERSION}\n")
         fh.write(header + "\n")
         for line in lines:
             fh.write(line + "\n")
@@ -655,10 +622,7 @@ def write_roster_csv(panel: StudyPanel, path: str | Path) -> None:
         alpha = panel.design.village_dosages[ind.village_id]
         lines.append(f"{ind.id},{ind.household_id},{ind.village_id},"
                      f"{int(ind.treated)},1,1,{fmt_value(alpha)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(ROSTER_REQUIRED) + ",village_dosage\n")
-        for line in lines:
-            fh.write(line + "\n")
+    _write_lines(path, None, ",".join(ROSTER_REQUIRED) + ",village_dosage", lines)
 
 
 def write_edges_csv(panel: StudyPanel, layer_specs: Sequence[LayerSpec],
@@ -676,18 +640,13 @@ def write_edges_csv(panel: StudyPanel, layer_specs: Sequence[LayerSpec],
         q = question_for[layer]
         lines += [f"{wave},{village},{q},{net.nodes[u]},{net.nodes[v]}"
                   for u, v in zip(net.src.tolist(), net.dst.tolist())]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(EDGE_COLUMNS) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+    _write_lines(path, None, ",".join(EDGE_COLUMNS), lines)
 
 
 def write_layer_map_csv(layer_specs: Sequence[LayerSpec], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(LAYER_COLUMNS) + "\n")
-        for spec in layer_specs:
-            for q in spec.question_ids:
-                fh.write(f"{q},{spec.layer},{int(spec.inverted[q])}\n")
+    _write_lines(path, None, ",".join(LAYER_COLUMNS),
+                 [f"{q},{spec.layer},{int(spec.inverted[q])}"
+                  for spec in layer_specs for q in spec.question_ids])
 
 
 # ---------------------------------------------------------------------------

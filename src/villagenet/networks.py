@@ -41,7 +41,8 @@ class LayerNetwork:
 
     Isolates are legitimate members: ``nodes`` always equals the village's
     included individuals, independent of the edge set. Edges come either as
-    string pairs (``edges``) or as index arrays into ``nodes`` (``pairs``);
+    string pairs (``edges``), with ``nodes`` in any order, or as index arrays
+    into ``nodes`` (``pairs``), which the caller then gives sorted and unique;
     either way they are kept as ``src``/``dst`` arrays sorted by (src, dst).
     Because ``nodes`` is sorted, that is also the order of the sorted string
     pairs. Instances are not modified after construction.
@@ -61,20 +62,16 @@ class LayerNetwork:
     def __post_init__(self):
         edges, pairs = self._given
         del self._given
-        nodes = tuple(sorted(self.nodes))
-        n = len(nodes)
-        if len(set(nodes)) != n:
-            raise NetworkError(f"duplicate nodes in network {self.village_id}/{self.layer}")
-        if pairs is None:
+        nodes, n = self.nodes, len(self.nodes)
+        if pairs is None:   # string pairs: the nodes may come in any order
+            nodes = tuple(sorted(nodes))
+            if len(set(nodes)) != n:
+                raise NetworkError(f"duplicate nodes in network {self.village_id}/{self.layer}")
             ends = self._index_pairs(nodes, edges)
-        else:
+        else:   # index pairs into the caller's sorted, unique nodes
             ends = np.array(pairs, dtype=np.intp).reshape(2, -1)
             if ends.size and (ends.min() < 0 or ends.max() >= n):
                 raise NetworkError(f"edge index out of range in {self.village_id}/{self.layer}")
-            if nodes != self.nodes:   # indices refer to the order given
-                rank = np.empty(n, dtype=np.intp)
-                rank[sorted(range(n), key=self.nodes.__getitem__)] = np.arange(n)
-                ends = rank[ends]
         src, dst = ends
         loops = src == dst
         if loops.any():

@@ -10,9 +10,10 @@ degree-based estimate conditional on wave 1.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -36,6 +37,28 @@ log = logging.getLogger(__name__)
 _FINE_TO_COARSE = dict(zip(FINE_NAMES, COARSE_OF_FINE))
 
 DEFAULT_DENSITIES = {"health": 0.020, "friendship": 0.050, "financial": 0.018}
+
+
+# Each scenario key's JSON shape: a type (a float also takes an int, and no
+# type takes a boolean), [shape] for a list of any length, (shape, ...) for a
+# list of exactly those, or {str: shape} for an object.
+_SHAPES = {"seed": int, "name": str, "arms": [(float, int)], "village_size": (int, int),
+           "household_size": (int, int), "layers": [str], "edge_density": {str: float},
+           "layer_overlap": float, "p_keep": {str: float}, "p_form": {str: float}}
+
+
+def _of_shape(value, shape):
+    """``value`` in ``shape``, lists as tuples, ints as floats; ValueError if it does not fit."""
+    if isinstance(shape, dict) and isinstance(value, dict):
+        return {k: _of_shape(v, shape[str]) for k, v in value.items()}
+    if isinstance(shape, list) and isinstance(value, list):
+        return tuple(_of_shape(v, shape[0]) for v in value)
+    if isinstance(shape, tuple) and isinstance(value, list) and len(value) == len(shape):
+        return tuple(map(_of_shape, value, shape))
+    if (isinstance(shape, type) and not isinstance(value, bool)
+            and isinstance(value, (int, float) if shape is float else shape)):
+        return shape(value)
+    raise ValueError(value)
 
 
 @dataclass(frozen=True)
@@ -100,20 +123,21 @@ class SyntheticScenario:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SyntheticScenario":
-        base = cls()
-        return cls(
-            seed=int(d.get("seed", base.seed)),
-            name=str(d.get("name", base.name)),
-            arms=tuple((float(a), int(c)) for a, c in d.get("arms", base.arms)),
-            village_size=tuple(int(x) for x in d.get("village_size", base.village_size)),
-            household_size=tuple(int(x) for x in d.get("household_size", base.household_size)),
-            layers=tuple(d.get("layers", base.layers)),
-            edge_density={k: float(v) for k, v in
-                          dict(d.get("edge_density", DEFAULT_DENSITIES)).items()},
-            layer_overlap=float(d.get("layer_overlap", base.layer_overlap)),
-            p_keep={k: float(v) for k, v in dict(d.get("p_keep", base.p_keep)).items()},
-            p_form={k: float(v) for k, v in dict(d.get("p_form", base.p_form)).items()},
-        )
+        """The scenario a JSON object gives; absent keys take the defaults."""
+        if not isinstance(d, dict):
+            raise ScenarioError("a scenario must be a JSON object")
+        fields = {}
+        for key, value in d.items():
+            try:
+                fields[key] = _of_shape(value, _SHAPES[key])
+            except KeyError:
+                raise ScenarioError(f"unknown scenario key {key!r}; "
+                                    f"expected one of {', '.join(_SHAPES)}") from None
+            except (ValueError, OverflowError):   # float() of a huge integer overflows
+                raise ScenarioError(f"scenario key {key}: expected a value like "
+                                    f"{json.dumps(cls().to_dict()[key])}, "
+                                    f"got {json.dumps(value, default=repr)}") from None
+        return cls(**fields)
 
     def resolve_probability(self, mapping: Mapping[str, float], fine_label: str) -> float:
         """Fine -> coarse -> UoUo fallback for a planted probability."""
@@ -147,11 +171,7 @@ class OracleTruth:
     expected_pct: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "dissolution_logodds": dict(self.dissolution_logodds),
-            "formation_logodds": dict(self.formation_logodds),
-            "expected_pct": dict(self.expected_pct),
-        }
+        return asdict(self)
 
 
 @dataclass

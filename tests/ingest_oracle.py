@@ -76,13 +76,13 @@ class SurveyResponse:
 # ---------------------------------------------------------------------------
 # Reading, one line at a time.
 
-def _parse_bool(token: str, line: int, column: str) -> bool:
+def _parse_bool(token: str, path: str | Path, line: int, column: str) -> bool:
     t = token.strip().lower()
     if t in {"1", "true", "t", "yes"}:
         return True
     if t in {"0", "false", "f", "no"}:
         return False
-    raise IngestionError(f"line {line}: column {column}: cannot parse boolean {token!r}")
+    raise IngestionError(f"{path}: line {line}: column {column}: cannot parse boolean {token!r}")
 
 
 def _read_rows(path: str | Path) -> list[tuple[int, list[str]]]:
@@ -145,10 +145,10 @@ def read_roster(path: str | Path) -> list[RosterRow]:
             individual_id=rec["individual_id"].strip(),
             household_id=rec["household_id"].strip(),
             village_id=rec["village_id"].strip(),
-            treated=_parse_bool(rec["treated"], lineno, "treated"),
-            wave1_present=_parse_bool(rec["wave1_present"], lineno, "wave1_present"),
-            wave3_present=_parse_bool(rec["wave3_present"], lineno, "wave3_present"),
-            forms_complete=_parse_bool(rec["forms_complete"], lineno, "forms_complete")
+            treated=_parse_bool(rec["treated"], path, lineno, "treated"),
+            wave1_present=_parse_bool(rec["wave1_present"], path, lineno, "wave1_present"),
+            wave3_present=_parse_bool(rec["wave3_present"], path, lineno, "wave3_present"),
+            forms_complete=_parse_bool(rec["forms_complete"], path, lineno, "forms_complete")
             if "forms_complete" in rec else True,
             wave3_household_id=rec.get("wave3_household_id", "").strip() or None,
             wave3_village_id=rec.get("wave3_village_id", "").strip() or None,

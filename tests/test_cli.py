@@ -520,6 +520,92 @@ class TestSubcommands:
                 in capsys.readouterr().err)
 
 
+class TestInputFaults:
+    """Bad scenarios, options and paths exit 2 with a message naming the key, option or path."""
+
+    @pytest.mark.parametrize("command", ["simulate", "replicate"])
+    @pytest.mark.parametrize("doc,named", [
+        ({"village_sizes": [5, 6]}, "unknown scenario key 'village_sizes'"),
+        ({"seed": "x"}, 'scenario key seed: expected a value like 0, got "x"'),
+        ({"seed": True}, "scenario key seed: expected a value like 0, got true"),
+        ({"seed": 7.0}, "scenario key seed: expected a value like 0, got 7.0"),
+        ({"arms": 5}, "scenario key arms: "),
+        ({"arms": [[0.3]]}, "scenario key arms: "),
+        ({"arms": [[0.3, 2.5]]}, "scenario key arms: "),
+        ({"village_size": [5]}, "scenario key village_size: "),
+        ({"layers": "health"}, 'scenario key layers: expected a value like ["health"], '
+                               'got "health"'),
+        ({"edge_density": {"health": "high"}}, "scenario key edge_density: "),
+        ({"name": 3}, "scenario key name: "),
+        ([SCENARIO], "a scenario must be a JSON object"),
+    ], ids=["unknown_key", "seed_string", "seed_bool", "seed_float", "arms_number",
+            "arms_short_pair", "arms_float_count", "village_size_short", "layers_string",
+            "density_string", "name_number", "top_level_array"])
+    def test_bad_scenario(self, tmp_path, capsys, command, doc, named):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_panel_archive_as_scenario(self, sim, tmp_path, capsys):
+        assert main(["simulate", "--scenario", str(sim["sim"] / "panel.json"),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "unknown scenario key 'format_version'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,value,named", [
+        ("--span", "0", "--span must be in (0, 1], got 0.0"),
+        ("--span", "2", "--span must be in (0, 1], got 2.0"),
+        ("--span", "nan", "--span must be in (0, 1], got nan"),
+        ("--degree", "3", "--degree must be 1 or 2, got 3"),
+        ("--degree", "0", "--degree must be 1 or 2, got 0"),
+    ], ids=["span_0", "span_2", "span_nan", "degree_3", "degree_0"])
+    def test_bad_loess_option(self, sim, tmp_path, capsys, option, value, named):
+        assert main(["doseresponse", "--panel", str(sim["sim"] / "panel.json"), option, value,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {named}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,option", [
+        ("metrics", "--panel"), ("effects", "--blocks"), ("simulate", "--scenario"),
+        ("metrics", "--config"), ("ingest", "--roster"),
+    ])
+    def test_input_path_is_a_directory(self, sim, tmp_path, capsys, command, option):
+        panel = ["--panel", str(sim["sim"] / "panel.json")]
+        files = [a for name in ("roster", "edges", "layer_map")
+                 for a in (f"--{name.replace('_', '-')}", str(sim["sim"] / f"{name}.csv"))]
+        valid = {"metrics": panel, "effects": panel, "ingest": files,
+                 "simulate": ["--scenario", str(sim["scenario"])]}
+        # the last of a repeated option wins
+        assert main([command, *valid[command], option, str(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
+    def test_out_names_a_file(self, sim, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["metrics", "--panel", str(sim["sim"] / "panel.json"),
+                     "--out", str(out)]) == 2
+        assert f"File exists: '{out}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["metrics", "permtest"])
+    def test_more_than_one_variant_group(self, sim, tmp_path, capsys, command):
+        assert main([command, "--panel", str(sim["sim"] / "panel.json"),
+                     "--variants", "none;residual", "--out", str(tmp_path / "o")]) == 2
+        assert (f"error: --variants: {command} takes one variant group\n"
+                == capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command,option", [
+        ("metrics", "--layer"), ("permtest", "--layer"), ("effects", "--layers"),
+    ])
+    @pytest.mark.parametrize("layer", ["health", "aggregated"])
+    def test_residual_variant_off_its_layers(self, sim, tmp_path, capsys, command, option,
+                                             layer):
+        draws = [] if command == "metrics" else ["--permutations", "5"]
+        assert main([command, "--panel", str(sim["sim"] / "panel.json"), option, layer,
+                     "--variants", "residual", *draws, "--out", str(tmp_path / "o")]) == 2
+        assert (f"residual networks are defined for ('friendship', 'financial'), not {layer}"
+                in capsys.readouterr().err)
+
+
 def _subprocess_env() -> dict[str, str]:
     """The environment with this checkout's villagenet first on the path."""
     src = str(Path(villagenet.__file__).resolve().parents[1])
