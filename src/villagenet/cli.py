@@ -11,7 +11,8 @@ package: parsing and validation need nothing more, since the enumerations the
 options are checked against live in ``core``. Each ``run_*`` imports the
 analysis modules it calls, so a command starts without loading the others.
 
-Exit codes: 0 success, 1 runtime failure, 2 input validation failure.
+Exit codes: 0 success, 1 runtime failure, 2 input validation failure. A
+failed run removes the ``--out`` directories it created while they are empty.
 """
 
 from __future__ import annotations
@@ -269,9 +270,8 @@ def _plot_rows(estimates) -> list[dict]:
         s = est.spec
         f1, f3, c1, c3 = est.group_means
         expected = f1 + (c3 - c1)   # parallel-trend counterfactual
-        variant = "+".join(s.variant_flags) if s.variant_flags else "none"
         base = {"kind": s.kind, "scope": s.dosage_scope, "layer": s.layer,
-                "metric": s.metric, "variant": variant}
+                "metric": s.metric, "variant": s.variant}
         rows += [
             {**base, "series": "focal", "wave": 1, "value": f1},
             {**base, "series": "focal", "wave": 3, "value": f3},
@@ -462,20 +462,23 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    outdir = Path(args.out)
+    missing = [d for d in (outdir, *outdir.parents) if not d.exists()]   # deepest first
     try:
         config = resolve_config(args.command, args)
         config["out"] = str(args.out)
-        outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         RUNNERS[args.command](config, outdir)
         _finish(args.command, config, outdir)
         return 0
-    except VALIDATION_ERRORS as exc:
+    except Exception as exc:   # validation failure 2, runtime failure 1
+        code = 2 if isinstance(exc, VALIDATION_ERRORS) else 1
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime failure
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for d in missing:   # a failed run leaves no empty directory of its own behind
+        if not d.is_dir() or any(d.iterdir()):
+            break
+        d.rmdir()
+    return code
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ as counts: per fine category, the number of pairs in each (wave-1 link,
 wave-3 link) state, taken per village straight from the cached adjacency
 matrices without one row per dyad. Dissolution and formation are modelled by
 saturated logistic regressions on category indicators, fitted to these grouped
-binomial counts in closed form (Agresti, Categorical Data Analysis); the exact
-log-likelihood, score and Hessian are kept to check fits against. A term that
+binomial counts in closed form (Agresti, Categorical Data Analysis); the
+log-likelihood's score and Hessian are kept to check fits against. A term that
 a completely separated category enters is NaN, which exports write as NA.
 """
 
@@ -169,14 +169,6 @@ class LogisticFit:
     n_observations: int
     separated: tuple[str, ...] = ()
     dropped: tuple[str, ...] = ()
-
-
-def logistic_nll(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
-                 trials: np.ndarray | float = 1.0) -> float:
-    """Negative log-likelihood of y successes in ``trials`` Bernoulli draws per row."""
-    eta = X @ beta
-    # t*log(1 + exp(eta)) - y*eta, computed stably
-    return float(np.sum(trials * np.logaddexp(0.0, eta) - y * eta))
 
 
 def logistic_score(X: np.ndarray, y: np.ndarray, beta: np.ndarray,

@@ -67,9 +67,13 @@ class ContrastSpec:
             raise EffectError(f"unknown dosage scope {self.dosage_scope}")
         object.__setattr__(self, "variant_flags", tuple(sorted(set(self.variant_flags))))
 
+    @property
+    def variant(self) -> str:
+        """The variant flags as written in labels and exports: joined by '+', or 'none'."""
+        return "+".join(self.variant_flags) if self.variant_flags else "none"
+
     def label(self) -> str:
-        variant = "+".join(self.variant_flags) if self.variant_flags else "none"
-        return f"{self.kind}/{self.dosage_scope}/{self.layer}/{self.metric}/{variant}"
+        return f"{self.kind}/{self.dosage_scope}/{self.layer}/{self.metric}/{self.variant}"
 
 
 @dataclass(frozen=True)

@@ -530,9 +530,8 @@ def write_effects(estimates, path: str | Path) -> None:
     lines = []
     for est in estimates:
         s = est.spec
-        variant = "+".join(s.variant_flags) if s.variant_flags else "none"
         lines.append(
-            f"{s.kind},{s.dosage_scope},{s.layer},{s.metric},{variant},"
+            f"{s.kind},{s.dosage_scope},{s.layer},{s.metric},{s.variant},"
             f"{fmt_value(est.pct_effect)},{fmt_value(est.raw_did)},"
             f"{fmt_value(est.p_value)},{est.n_focal},{est.n_comparison},"
             f"{est.permutations}"

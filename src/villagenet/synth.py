@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -107,20 +107,6 @@ class SyntheticScenario:
         if not 1 <= lo <= hi:
             raise ScenarioError("household_size must satisfy 1 <= min <= max")
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "name": self.name,
-            "arms": [[alpha, count] for alpha, count in self.arms],
-            "village_size": list(self.village_size),
-            "household_size": list(self.household_size),
-            "layers": list(self.layers),
-            "edge_density": dict(self.edge_density),
-            "layer_overlap": self.layer_overlap,
-            "p_keep": dict(self.p_keep),
-            "p_form": dict(self.p_form),
-        }
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "SyntheticScenario":
         """The scenario a JSON object gives; absent keys take the defaults."""
@@ -135,7 +121,7 @@ class SyntheticScenario:
                                     f"expected one of {', '.join(_SHAPES)}") from None
             except (ValueError, OverflowError):   # float() of a huge integer overflows
                 raise ScenarioError(f"scenario key {key}: expected a value like "
-                                    f"{json.dumps(cls().to_dict()[key])}, "
+                                    f"{json.dumps(getattr(cls(), key))}, "
                                     f"got {json.dumps(value, default=repr)}") from None
         return cls(**fields)
 
@@ -176,15 +162,17 @@ class OracleTruth:
 
 @dataclass
 class Wave1State:
-    """Realized wave-1 panel plus per-dyad transition probabilities."""
+    """Realized wave-1 panel plus each dyad's wave-3 link probability.
+
+    ``link_prob`` is p_keep on a wave-1 link and p_form off one, with a zero diagonal.
+    """
 
     scenario: SyntheticScenario
     individuals: dict[str, Individual]
     design: TreatmentDesign
     members: dict[str, tuple[str, ...]]
     adjacency_w1: dict[tuple[str, str], np.ndarray]
-    keep_prob: dict[tuple[str, str], np.ndarray]
-    form_prob: dict[tuple[str, str], np.ndarray]
+    link_prob: dict[tuple[str, str], np.ndarray]
 
     @property
     def villages(self) -> tuple[str, ...]:
@@ -234,11 +222,12 @@ def generate_wave1_state(scenario: SyntheticScenario) -> Wave1State:
             members[village] = tuple(sorted(ids))
 
     design = TreatmentDesign(dosages, assignments)
-    keep_lookup, form_lookup = _probability_lookups(scenario)
+    # by (fine code, wave-1 link): p_form off a link, p_keep on one
+    lookup = np.array([[scenario.resolve_probability(mapping, f)
+                        for mapping in (scenario.p_form, scenario.p_keep)] for f in FINE_NAMES])
 
     adjacency: dict[tuple[str, str], np.ndarray] = {}
-    keep_prob: dict[tuple[str, str], np.ndarray] = {}
-    form_prob: dict[tuple[str, str], np.ndarray] = {}
+    link_prob: dict[tuple[str, str], np.ndarray] = {}
     for village in sorted(members):
         mem = members[village]
         n = len(mem)
@@ -258,31 +247,16 @@ def generate_wave1_state(scenario: SyntheticScenario) -> Wave1State:
             else:
                 rcode = refinement_codes(*np.nonzero(a1), treated)
                 fine_code = (rcode[:, None] * 4 + rcode[None, :] + 1).astype(np.int8)
-            keep_prob[(village, layer)] = keep_lookup[fine_code]
-            form_prob[(village, layer)] = form_lookup[fine_code]
+            prob = lookup[fine_code, a1.view(np.int8)]
+            np.fill_diagonal(prob, 0.0)
+            link_prob[(village, layer)] = prob
 
-    return Wave1State(scenario, individuals, design, members,
-                      adjacency, keep_prob, form_prob)
-
-
-def _probability_lookups(scenario: SyntheticScenario) -> tuple[np.ndarray, np.ndarray]:
-    keep = np.array([scenario.resolve_probability(scenario.p_keep, f) for f in FINE_NAMES])
-    form = np.array([scenario.resolve_probability(scenario.p_form, f) for f in FINE_NAMES])
-    return keep, form
+    return Wave1State(scenario, individuals, design, members, adjacency, link_prob)
 
 
 def sample_wave3(state: Wave1State, rng: np.random.Generator) -> dict[tuple[str, str], np.ndarray]:
-    """Independent per-dyad transitions from the realized wave 1."""
-    out: dict[tuple[str, str], np.ndarray] = {}
-    for village in state.villages:
-        n = len(state.members[village])
-        off = ~np.eye(n, dtype=bool)
-        for layer in state.scenario.layers:
-            a1 = state.adjacency_w1[(village, layer)]
-            prob = np.where(a1, state.keep_prob[(village, layer)],
-                            state.form_prob[(village, layer)])
-            out[(village, layer)] = (rng.random((n, n)) < prob) & off
-    return out
+    """Independent per-dyad transitions from the realized wave 1, in the state's order."""
+    return {key: rng.random(prob.shape) < prob for key, prob in state.link_prob.items()}
 
 
 def _networks_from_matrices(state: Wave1State, wave: int,
@@ -304,8 +278,9 @@ def panel_from_state(state: Wave1State,
         mem = state.members[village]
         for layer in BASE_LAYERS:
             for wave in (1, 3):
-                networks.setdefault((village, wave, layer),
-                                    LayerNetwork(village, wave, layer, mem))
+                if (village, wave, layer) not in networks:
+                    networks[(village, wave, layer)] = LayerNetwork(
+                        village, wave, layer, mem, pairs=((), ()))
     return StudyPanel(dict(state.individuals), state.design, networks)
 
 
@@ -321,12 +296,8 @@ def expected_degree_table(state: Wave1State, panel: StudyPanel, layer: str) -> M
     values = {(w, m): np.full(n, np.nan)
               for w in (1, 3) for m in ("degree", "in_degree", "out_degree")}
     for village, rows in zip(index.villages, index.members):
-        a1 = state.adjacency_w1[(village, layer)].astype(float)
-        np.fill_diagonal(a1, 0.0)
-        expected = np.where(state.adjacency_w1[(village, layer)],
-                            state.keep_prob[(village, layer)],
-                            state.form_prob[(village, layer)])
-        np.fill_diagonal(expected, 0.0)
+        a1 = state.adjacency_w1[(village, layer)]
+        expected = state.link_prob[(village, layer)]
         out1, in1 = a1.sum(axis=1), a1.sum(axis=0)
         out3, in3 = expected.sum(axis=1), expected.sum(axis=0)
         for wave, out, into in ((1, out1, in1), (3, out3, in3)):
@@ -436,9 +407,7 @@ def replicate_study(
     for rep in range(n_replicates):
         rep_entropy = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(rep, 17))
         rep_seed = int(rep_entropy.generate_state(1)[0])
-        rep_scenario = SyntheticScenario.from_dict(
-            {**scenario.to_dict(), "seed": rep_seed})
-        panel, oracle = generate_panel(rep_scenario, scopes=scopes)
+        panel, oracle = generate_panel(replace(scenario, seed=rep_seed), scopes=scopes)
         for est in effect_suite(panel, layers, metrics, scopes, kinds,
                                 permutations=permutations, master_seed=rep_seed + 1,
                                 threads=threads):

@@ -3,7 +3,8 @@
 One Python loop over every ordered within-village pair, labelling each from
 string ids and the ``network_oracle`` edge and neighbour lookups: the
 plainest reading of the category rules, kept to check the array-level counts
-and the streamed dyad rows of ``villagenet.dyadic`` against.
+and the streamed dyad rows of ``villagenet.dyadic`` against. Also the logistic
+negative log-likelihood that the closed-form fits are checked against.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from villagenet.core import StudyPanel
 from villagenet.dyadic import DyadicError
@@ -119,3 +122,11 @@ def outcome_rows(dyads: Sequence[OracleDyad], scheme: str,
     kept = [d for d in dyads if is_trial(d)]
     labels = [d.coarse if scheme == "coarse" else d.fine for d in kept]
     return labels, [float(is_success(d)) for d in kept]
+
+
+def logistic_nll(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
+                 trials: np.ndarray | float = 1.0) -> float:
+    """Negative log-likelihood of y successes in ``trials`` Bernoulli draws per row."""
+    eta = X @ beta
+    # t*log(1 + exp(eta)) - y*eta, computed stably
+    return float(np.sum(trials * np.logaddexp(0.0, eta) - y * eta))

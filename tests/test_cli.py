@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 import villagenet
 from villagenet.cli import CHOICES, COMMAND_OPTIONS, main
 
+from network_oracle import in_neighbors, out_neighbors
+
 SCENARIO = {
     "seed": 77,
     "arms": [[0.0, 3], [0.2, 2], [0.75, 2]],
@@ -26,6 +28,10 @@ SCENARIO = {
     "p_keep": {"UoUo": 0.65, "TU": 0.45},
     "p_form": {"UoUo": 0.015, "TT": 0.04},
 }
+
+
+ROSTER_HEAD = "individual_id,household_id,village_id,treated,wave1_present,wave3_present"
+EDGE_HEAD = "wave,village_id,question_id,ego_id,alter_id\n"
 
 
 def digest_dir(path: Path) -> dict[str, str]:
@@ -308,6 +314,27 @@ class TestArchiveFaults:
         self._exits_2(doc, tmp_path, capsys, command,
                       f"edge endpoint 2.5 not a member of {village}/{layer}")
 
+    @pytest.mark.parametrize("command", ANALYSES)
+    @pytest.mark.parametrize("key,message", [
+        ("v000|1", "network key 'v000|1' is not village|wave|layer"),
+        ("v000|one|health", "network key 'v000|one|health' is not village|wave|layer"),
+        ("v999|1|health", "network v999|1|health names unknown village v999"),
+    ], ids=["two_parts", "wave_not_an_integer", "unknown_village"])
+    def test_bad_network_key(self, sim, tmp_path, capsys, command, key, message):
+        doc = self._doc(sim)
+        doc["networks"][key] = []
+        self._exits_2(doc, tmp_path, capsys, command, message)
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_self_loop_edge(self, sim, tmp_path, capsys, command):
+        doc = self._doc(sim)
+        key = self._network_with_edges(doc)
+        node = doc["networks"][key][0][0]
+        doc["networks"][key].append([node, node])
+        village, _, layer = key.split("|")
+        self._exits_2(doc, tmp_path, capsys, command,
+                      f"self-loop at node {node} in {village}/{layer}")
+
 
 def _archive_paths(node, path=()):
     """The path of every value inside a JSON document, the root excluded."""
@@ -397,6 +424,59 @@ class TestSubcommands:
         assert len(lines) == 2 + 3  # one fitted value per distinct dosage
         assert (out / "points.csv").exists()
 
+    def test_social_layer_is_the_directed_union_of_the_base_layers(self, sim, tmp_path):
+        import villagenet.io as vio
+        out = tmp_path / "social"
+        assert main(["metrics", "--panel", str(sim["sim"] / "panel.json"),
+                     "--layer", "social", "--out", str(out)]) == 0
+        degrees = {}
+        for line in (out / "metrics.csv").read_text().splitlines()[2:]:
+            iid, village, wave, layer, metric, value = line.split(",")
+            if metric in ("in_degree", "out_degree"):
+                assert layer == "social"
+                degrees[(iid, int(wave), metric)] = float(value)
+        panel = vio.read_panel(sim["sim"] / "panel.json")
+        expected = {}
+        for village in panel.villages:
+            for wave in (1, 3):
+                nets = [panel.networks[(village, wave, layer)]
+                        for layer in ("health", "friendship", "financial")]
+                for metric, neighbors in (("out_degree", out_neighbors),
+                                          ("in_degree", in_neighbors)):
+                    by_layer = [neighbors(net) for net in nets]
+                    for iid in nets[0].nodes:
+                        expected[(iid, wave, metric)] = float(
+                            len(set().union(*(ns[iid] for ns in by_layer))))
+        assert degrees == expected
+        assert any(v > 0 for v in expected.values())
+
+    @pytest.mark.parametrize("group", ["treated", "untreated"])
+    def test_doseresponse_by_group(self, sim, tmp_path, group):
+        panel = sim["sim"] / "panel.json"
+        assert main(["metrics", "--panel", str(panel), "--layer", "health",
+                     "--out", str(tmp_path / "metrics")]) == 0
+        assert main(["doseresponse", "--panel", str(panel), "--layer", "health",
+                     "--metric", "degree", "--group", group, "--span", "1.0",
+                     "--out", str(tmp_path / "dr")]) == 0
+        degree = {}
+        for line in (tmp_path / "metrics" / "metrics.csv").read_text().splitlines()[2:]:
+            iid, _, wave, _, metric, value = line.split(",")
+            if metric == "degree":
+                degree[(iid, int(wave))] = float(value)
+        doc = json.loads(panel.read_text())
+        changes: dict[str, list[float]] = {}
+        for rec in doc["individuals"]:
+            if rec["treated"] == (group == "treated"):
+                changes.setdefault(rec["village_id"], []).append(
+                    degree[(rec["id"], 3)] - degree[(rec["id"], 1)])
+        expected = sorted((doc["village_dosages"][v], sum(c) / len(c))
+                          for v, c in changes.items())
+        lines = (tmp_path / "dr" / "points.csv").read_text().splitlines()[2:]
+        points = [float(x) for line in lines for x in line.split(",")]
+        assert points == pytest.approx([x for point in expected for x in point], rel=1e-9)
+        # control villages have no treated member; every village has an untreated one
+        assert len(expected) == (4 if group == "treated" else 7)
+
     def test_replicate(self, sim):
         out = sim["root"] / "rep"
         assert main(["replicate", "--scenario", str(sim["scenario"]),
@@ -447,6 +527,29 @@ class TestSubcommands:
                      "--layers", "health", "--out", str(tmp_path / "bad")])
         assert code == 1
         assert "no control villages available" in capsys.readouterr().err
+
+    def test_failed_run_removes_the_out_it_made(self, sim, tmp_path, capsys):
+        # exit 2: a panel archive is no scenario; the parents the run made go too
+        assert main(["simulate", "--scenario", str(sim["sim"] / "panel.json"),
+                     "--out", str(tmp_path / "made" / "bad_scenario")]) == 2
+        assert not (tmp_path / "made").exists()
+        # exit 1: the effect contrasts need control villages
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**SCENARIO, "arms": [[0.5, 2]]}))
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "sim")]) == 0
+        out = tmp_path / "bad_effects"
+        assert main(["effects", "--panel", str(tmp_path / "sim" / "panel.json"),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "no control villages available" in capsys.readouterr().err
+
+    def test_failed_run_keeps_an_out_made_beforehand(self, sim, tmp_path):
+        out = tmp_path / "mine"
+        out.mkdir()
+        assert main(["simulate", "--scenario", str(sim["sim"] / "panel.json"),
+                     "--out", str(out)]) == 2
+        assert out.is_dir() and not any(out.iterdir())
 
     def test_dyadic_correspondence_without_a_defined_rate_writes_na(self, tmp_path, caplog):
         # no treated node of this panel has an untreated partner in its village,
@@ -546,6 +649,52 @@ class TestInputFaults:
         scenario.write_text(json.dumps(doc))
         assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("files,named,message", [
+        ({"roster": ROSTER_HEAD + ",village_dosage\na,h1,v1,1,1,1,0.5\nb,h2,v1,0,1,1,0.2\n",
+          "edges": EDGE_HEAD}, None, "village v1: conflicting declared dosages 0.5 and 0.2"),
+        ({"roster": ROSTER_HEAD + "\n" + "".join(f"i{k},h{k},v1,{int(k < 4)},1,1\n"
+                                                 for k in range(10)),
+          "edges": EDGE_HEAD}, None,
+         "village v1: 4/10 treated households matches no allowed dosage arm"),
+        ({"roster": ""}, "roster", "empty file"),
+        ({"roster": ROSTER_HEAD + ",age,age\n"}, "roster", "line 1: duplicate column age"),
+        ({"edges": "wave,village,question_id,ego_id,alter_id\n"}, "edges",
+         "line 1: edge header must be wave,village_id,question_id,ego_id,alter_id"),
+        ({"edges": EDGE_HEAD + "99999999999999999999,v000,health_advice_get,a,b\n"}, "edges",
+         "line 2: wave 99999999999999999999 is out of range"),
+        ({"layer_map": "question,layer,inverted\n"}, "layer_map",
+         "line 1: layer map header must be question_id,layer,inverted"),
+        ({"layer_map": "question_id,layer,inverted\nhealth_advice_get,health\n"}, "layer_map",
+         "line 2: expected 3 fields"),
+        ({"layer_map": "question_id,layer,inverted\nhealth_advice_get,health,maybe\n"},
+         "layer_map", "line 2: column inverted: cannot parse boolean 'maybe'"),
+    ], ids=["two_declared_dosages", "treated_count_of_no_arm", "empty_roster",
+            "repeated_roster_column", "edge_header", "wave_out_of_range", "layer_map_header",
+            "layer_map_two_fields", "layer_map_inverted_maybe"])
+    def test_bad_ingest_input(self, sim, tmp_path, capsys, files, named, message):
+        paths = {}
+        for name in ("roster", "edges", "layer_map"):
+            paths[name] = sim["sim"] / f"{name}.csv"
+            if name in files:
+                paths[name] = tmp_path / f"{name}.csv"
+                paths[name].write_text(files[name])
+        assert main(["ingest", "--roster", str(paths["roster"]), "--edges", str(paths["edges"]),
+                     "--layer-map", str(paths["layer_map"]), "--out", str(tmp_path / "o")]) == 2
+        prefix = f"{paths[named]}: " if named else ""
+        assert capsys.readouterr().err == f"error: {prefix}{message}\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("village,block\n", "line 1: block header must be village_id,block"),
+        ("village_id,block\nv000,b,c\n", "line 2: expected 2 fields"),
+        ("village_id,block\nv000,b\nv000,c\n", "line 3: village v000 listed twice"),
+    ], ids=["header", "three_fields", "village_twice"])
+    def test_bad_blocks_file(self, sim, tmp_path, capsys, text, message):
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text(text)
+        assert main(["effects", "--panel", str(sim["sim"] / "panel.json"),
+                     "--blocks", str(blocks), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {blocks}: {message}\n"
 
     def test_panel_archive_as_scenario(self, sim, tmp_path, capsys):
         assert main(["simulate", "--scenario", str(sim["sim"] / "panel.json"),

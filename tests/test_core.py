@@ -9,7 +9,6 @@ from villagenet.core import (
     DEFAULT_LAYER_SPECS,
     IngestionError,
     Individual,
-    TreatmentDesign,
     aggregate_layers,
     apply_inclusion_criteria,
     build_panel,
@@ -285,8 +284,10 @@ class TestDesign:
             infer_design(inds, {"v1": 0.0, "v2": 1.0, "v3": 0.5})
 
     def test_design_validates_treated_count(self):
+        inds = [Individual("a", "h1", "v1", True), Individual("b", "h2", "v1", False),
+                Individual("c", "h3", "v1", False)]
         with pytest.raises(IngestionError, match="inconsistent"):
-            TreatmentDesign({"v1": 0.5}, {"v1": {"h1": True, "h2": False, "h3": False}})
+            infer_design(inds, {"v1": 0.5})
 
 
 @st.composite

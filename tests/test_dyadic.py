@@ -27,7 +27,6 @@ from villagenet.dyadic import (
     fit_categorical_logistic,
     fit_logistic_irls,
     logistic_hessian,
-    logistic_nll,
     logistic_score,
     odds_ratio_summary,
     refinement_codes,
@@ -39,6 +38,7 @@ from draw_oracle import members, observed_assignment
 from dyad_oracle import (
     categorize_dyad,
     enumerate_dyads,
+    logistic_nll,
     node_refinement,
     outcome_rows,
     state_counts,

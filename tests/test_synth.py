@@ -1,5 +1,8 @@
 """Generator reproducibility and oracle consistency."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -35,7 +38,7 @@ def small_scenario(**overrides):
 class TestScenario:
     def test_round_trip_dict(self):
         sc = small_scenario(p_keep={"UoUo": 0.6, "TU": 0.4, "T1U1": 0.3})
-        assert SyntheticScenario.from_dict(sc.to_dict()) == sc
+        assert SyntheticScenario.from_dict(json.loads(json.dumps(asdict(sc)))) == sc
 
     def test_validation(self):
         with pytest.raises(ScenarioError):
