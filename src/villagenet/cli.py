@@ -150,6 +150,9 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         manifest_config = doc.get("config", {})
         if not isinstance(manifest_config, dict):
             raise IngestionError(f"{args.config}: config is not an object")
+        for name in manifest_config:   # a mistyped key, or an option since retired
+            if name not in defaults:
+                log.warning("%s: %s takes no option %r; ignoring it", args.config, command, name)
     config = {}
     for name, default in defaults.items():
         cli_value = getattr(args, name)
@@ -223,7 +226,9 @@ def run_ingest(config: dict, outdir: Path) -> None:
     kept_roster, kept_responses, report = apply_inclusion_criteria(roster, responses)
     panel = build_panel(kept_roster, kept_responses, layer_specs)
     vio.write_panel(panel, outdir / "panel.json")
-    vio.write_exclusion_report(report, outdir / "exclusions.csv")
+    vio.write_table(outdir / "exclusions.csv", "exclusions", "record,reason,count",
+                    [("individual", *item) for item in sorted(report.individuals.items())]
+                    + [("response", *item) for item in sorted(report.responses.items())])
     n_excluded = sum(report.individuals.values())
     print(f"ingested {len(panel.individuals)} individuals in "
           f"{len(panel.villages)} villages; excluded {n_excluded}; 0 errors")
@@ -258,29 +263,24 @@ def run_effects(config: dict, outdir: Path) -> None:
         threads=int(config["threads"]),
         blocks=blocks,
     )
-    vio.write_effects(estimates, outdir / "effects.csv")
-    vio.write_plot_data(_plot_rows(estimates), outdir / "plotdata.csv")
-    print(f"wrote {len(estimates)} effect estimates")
-
-
-def _plot_rows(estimates) -> list[dict]:
-    """Plot series per estimate, from the group means of its observed draw."""
-    rows = []
+    rows, plot = [], []
     for est in estimates:
         s = est.spec
+        contrast = (s.kind, s.dosage_scope, s.layer, s.metric, s.variant)
+        rows.append((*contrast, est.pct_effect, est.raw_did, est.p_value, est.n_focal,
+                     est.n_comparison, est.permutations))
+        # Fig-2-style series from the observed draw's group means; the
+        # counterfactual follows the comparison group's trend (parallel trends)
         f1, f3, c1, c3 = est.group_means
-        expected = f1 + (c3 - c1)   # parallel-trend counterfactual
-        base = {"kind": s.kind, "scope": s.dosage_scope, "layer": s.layer,
-                "metric": s.metric, "variant": s.variant}
-        rows += [
-            {**base, "series": "focal", "wave": 1, "value": f1},
-            {**base, "series": "focal", "wave": 3, "value": f3},
-            {**base, "series": "comparison", "wave": 1, "value": c1},
-            {**base, "series": "comparison", "wave": 3, "value": c3},
-            {**base, "series": "counterfactual", "wave": 1, "value": f1},
-            {**base, "series": "counterfactual", "wave": 3, "value": expected},
-        ]
-    return rows
+        plot += [(*contrast, *point) for point in (
+            ("focal", 1, f1), ("focal", 3, f3), ("comparison", 1, c1), ("comparison", 3, c3),
+            ("counterfactual", 1, f1), ("counterfactual", 3, f1 + (c3 - c1)))]
+    vio.write_table(outdir / "effects.csv", "effects",
+                    "kind,scope,layer,metric,variant,pct_effect,raw_did,p_value,"
+                    "n_focal,n_comparison,permutations", rows)
+    vio.write_table(outdir / "plotdata.csv", "plotdata",
+                    "kind,scope,layer,metric,variant,series,wave,value", plot)
+    print(f"wrote {len(estimates)} effect estimates")
 
 
 def run_permtest(config: dict, outdir: Path) -> None:
@@ -306,13 +306,18 @@ def run_permtest(config: dict, outdir: Path) -> None:
         blocks=blocks,
         sided=str(config["sided"]),
     )
-    vio.write_null_draws(result, outdir / "nulldraws.txt")
+    vio.write_table(outdir / "nulldraws.txt", "nulldraws",
+                    f"# observed={vio.fmt_value(result.observed)} "
+                    f"p={vio.fmt_value(result.p_value)} "
+                    f"sided={result.sided} skipped={result.skipped}",
+                    [(x,) for x in result.null_draws])
     print(f"observed={result.observed:.6g} p={result.p_value:.6g} "
           f"({result.permutations} draws, {result.skipped} skipped)")
 
 
 def run_dyadic(config: dict, outdir: Path) -> None:
-    from .dyadic import dyad_dataset, dyad_rows, estimand_correspondence, fit_logistic_irls
+    from .dyadic import (dyad_dataset, dyad_rows, estimand_correspondence, fit_logistic_irls,
+                         odds_ratio_summary)
 
     panel = vio.read_panel(config["panel"])
     layer = str(config["layer"])
@@ -322,16 +327,21 @@ def run_dyadic(config: dict, outdir: Path) -> None:
     for outcome in outcomes:
         for scheme in schemes:
             fit = fit_logistic_irls(data_all, outcome, scheme)
-            vio.write_regression(fit, outdir / f"{outcome}_{scheme}.csv")
+            ors = odds_ratio_summary(fit)
+            meta = (f"# outcome={fit.outcome} scheme={fit.scheme} reference={fit.reference} "
+                    f"converged={fit.converged} n={fit.n_observations} "
+                    f"loglik={vio.fmt_value(fit.log_likelihood)}"
+                    + (f" separated={'+'.join(fit.separated)}" if fit.separated else ""))
+            vio.write_table(outdir / f"{outcome}_{scheme}.csv", "regression",
+                            meta + "\nterm,estimate,std_error,z,p,odds_ratio,pct_change",
+                            [(term, c.estimate, c.std_error, c.z, c.p, *ors[term])
+                             for term, c in fit.coefficients.items()])
     if int(config["correspondence"]):
         rows, fit = estimand_correspondence(panel, layer, data=data_all)
-        lines = [
-            f"{r.term},{vio.fmt_value(r.dyadic_estimate)},"
-            f"{vio.fmt_value(r.node_contrast)},{int(r.signs_agree)}"
-            for r in rows
-        ]
-        vio._write_lines(outdir / "correspondence.csv", "correspondence",
-                         "term,dyadic_estimate,node_contrast,signs_agree", lines)
+        vio.write_table(outdir / "correspondence.csv", "correspondence",
+                        "term,dyadic_estimate,node_contrast,signs_agree",
+                        [(r.term, r.dyadic_estimate, r.node_contrast, r.signs_agree)
+                         for r in rows])
     if int(config["export_dyads"]):
         vio.write_dyads(dyad_rows(panel, layer), outdir / "dyads.csv")
     print(f"wrote dyadic regressions for layer {layer}")
@@ -357,8 +367,9 @@ def run_wasserstein(config: dict, outdir: Path) -> None:
         w = wasserstein1(*(table.column(wave, kind)[members] / scale for wave in (1, 3)))
         group = dosage_group(alpha)
         by_group[group].append(w)
-        rows.append({"village_id": village, "dosage_group": group, "wasserstein": w})
-    vio.write_distances(rows, outdir / "distances.csv")
+        rows.append((village, group, w))
+    vio.write_table(outdir / "distances.csv", "wasserstein",
+                    "village_id,dosage_group,wasserstein", rows)
     welch = {}
     for arm in ("low", "high"):
         if len(by_group["control"]) >= 2 and len(by_group[arm]) >= 2:
@@ -366,7 +377,8 @@ def run_wasserstein(config: dict, outdir: Path) -> None:
                 welch[f"control_vs_{arm}"] = welch_ttest(by_group["control"], by_group[arm])
             except StatsError as exc:
                 log.warning("welch control vs %s skipped: %s", arm, exc)
-    vio.write_welch(welch, outdir / "welch.csv")
+    vio.write_table(outdir / "welch.csv", "welch", "comparison,t,df,p,ci_lo,ci_hi",
+                    [(name, r.t, r.df, r.p, *r.ci95) for name, r in sorted(welch.items())])
     print(f"wrote {len(rows)} distances and {len(welch)} Welch tests")
 
 
@@ -393,8 +405,10 @@ def run_doseresponse(config: dict, outdir: Path) -> None:
             continue   # no defined value at one wave
         points.append((alpha, m3 - m1))
     curve = loess_fit(points, span=float(config["span"]), degree=int(config["degree"]))
-    vio.write_curve(curve, outdir / "doseresponse.csv")
-    vio.write_points(points, outdir / "points.csv")
+    vio.write_table(outdir / "doseresponse.csv", "doseresponse", "dosage,fitted_change",
+                    curve.fitted)
+    vio.write_table(outdir / "points.csv", "doseresponse-points", "dosage,change",
+                    sorted(points))
     print(f"wrote dose-response curve over {len(points)} villages")
 
 
@@ -427,20 +441,13 @@ def run_replicate(config: dict, outdir: Path) -> None:
         permutations=int(config["permutations"]),
         threads=int(config["threads"]),
     )
-    lines = [
-        f"{r.replicate},{r.spec_label},{vio.fmt_value(r.estimate_pct)},"
-        f"{vio.fmt_value(r.oracle_pct)},{vio.fmt_value(r.p_value)}"
-        for r in report.rows
-    ]
-    vio._write_lines(outdir / "calibration.csv", "calibration",
-                     "replicate,spec,estimate_pct,oracle_pct,p_value", lines)
-    summary_lines = []
-    for label in sorted(report.summary):
-        entry = report.summary[label]
-        for key in sorted(entry):
-            summary_lines.append(f"{label},{key},{vio.fmt_value(entry[key])}")
-    vio._write_lines(outdir / "summary.csv", "calibration-summary",
-                     "spec,quantity,value", summary_lines)
+    vio.write_table(outdir / "calibration.csv", "calibration",
+                    "replicate,spec,estimate_pct,oracle_pct,p_value",
+                    [(r.replicate, r.spec_label, r.estimate_pct, r.oracle_pct, r.p_value)
+                     for r in report.rows])
+    vio.write_table(outdir / "summary.csv", "calibration-summary", "spec,quantity,value",
+                    [(label, key, entry[key]) for label, entry in sorted(report.summary.items())
+                     for key in sorted(entry)])
     print(f"wrote calibration report over {int(config['replicates'])} replicates")
 
 

@@ -284,10 +284,10 @@ class Evaluation:
         for size, counts in ((self.n_focal[k], defined[0:2]),
                              (self.n_comparison[k], defined[2:4])):
             if (counts == 0).any():
-                return f"group of {size} has no defined {spec.metric} values"
+                return f"group of {size} has no defined {spec.metric} values for {spec.label()}"
         if defined[4] == 0 or self.mean[k, 4] == 0.0:
-            return (f"unscalable statistic: control wave-{self.ref_wave} mean of "
-                    f"{spec.metric} is {'undefined' if defined[4] == 0 else 'zero'}")
+            return (f"unscalable statistic: control wave-{self.ref_wave} mean of {spec.metric} "
+                    f"is {'undefined' if defined[4] == 0 else 'zero'} for {spec.label()}")
         return None
 
     def estimate(self, k: int) -> EffectEstimate:

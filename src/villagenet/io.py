@@ -4,8 +4,10 @@ All inputs are UTF-8 comma-delimited with a header row (a byte-order mark is
 allowed); each is read once and split into columns, and validation errors cite
 1-based line numbers. Every export starts with a format-version line and is
 written with sorted, fully deterministic content so byte-level comparison is a
-meaningful reproducibility check. The archive reader applies ingest's panel
-rules (`core.infer_design`, `core.StudyPanel`), with errors naming the file.
+meaningful reproducibility check; its rows come from the caller as values,
+and `write_table` formats every cell one way (`fmt_value`). The archive reader
+applies ingest's panel rules (`core.infer_design`, `core.StudyPanel`), with
+errors naming the file.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from .core import (
     BASE_LAYERS,
     CodedColumn,
-    ExclusionReport,
     IngestionError,
     Individual,
     LayerSpec,
@@ -485,8 +486,11 @@ def _gc_paused():
 # Exports.
 
 def fmt_value(x) -> str:
+    """A table cell: a boolean as 0/1, None and NaN as NA, a float to 12 significant digits."""
     if x is None:
         return "NA"
+    if isinstance(x, bool):
+        return "1" if x else "0"
     if isinstance(x, float):
         if math.isnan(x):
             return "NA"
@@ -494,8 +498,8 @@ def fmt_value(x) -> str:
     return str(x)
 
 
-def _write_lines(path: str | Path, kind: str | None, header: str,
-                 lines: Iterable[str]) -> None:
+def write_lines(path: str | Path, kind: str | None, header: str,
+                lines: Iterable[str]) -> None:
     """The header and lines, after a format line naming ``kind`` (none for an input file)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if kind:
@@ -505,12 +509,10 @@ def _write_lines(path: str | Path, kind: str | None, header: str,
             fh.write(line + "\n")
 
 
-def write_exclusion_report(report: ExclusionReport, path: str | Path) -> None:
-    lines = [f"individual,{reason},{count}"
-             for reason, count in sorted(report.individuals.items())]
-    lines += [f"response,{reason},{count}"
-              for reason, count in sorted(report.responses.items())]
-    _write_lines(path, "exclusions", "record,reason,count", lines)
+def write_table(path: str | Path, kind: str | None, header: str,
+                rows: Iterable[Sequence]) -> None:
+    """One comma-joined line of `fmt_value` cells per row, under ``header`` (free text)."""
+    write_lines(path, kind, header, (",".join(map(fmt_value, row)) for row in rows))
 
 
 def write_metric_table(table, path: str | Path) -> None:
@@ -522,88 +524,8 @@ def write_metric_table(table, path: str | Path) -> None:
             # the float column formatted as fmt_value does it: NaN is NA
             lines += [f"{head}{wave}{tail}{'NA' if v != v else format(v, '.12g')}"
                       for head, v in zip(heads, table.values[(wave, metric)].tolist())]
-    _write_lines(path, "metrics",
-                 "individual_id,village_id,wave,layer,metric,value", sorted(lines))
-
-
-def write_effects(estimates, path: str | Path) -> None:
-    lines = []
-    for est in estimates:
-        s = est.spec
-        lines.append(
-            f"{s.kind},{s.dosage_scope},{s.layer},{s.metric},{s.variant},"
-            f"{fmt_value(est.pct_effect)},{fmt_value(est.raw_did)},"
-            f"{fmt_value(est.p_value)},{est.n_focal},{est.n_comparison},"
-            f"{est.permutations}"
-        )
-    _write_lines(
-        path, "effects",
-        "kind,scope,layer,metric,variant,pct_effect,raw_did,p_value,"
-        "n_focal,n_comparison,permutations",
-        lines,
-    )
-
-
-def write_plot_data(rows, path: str | Path) -> None:
-    """Fig-2-style trajectories: per contrast, group means and counterfactual."""
-    lines = [
-        f"{r['kind']},{r['scope']},{r['layer']},{r['metric']},{r['variant']},"
-        f"{r['series']},{r['wave']},{fmt_value(r['value'])}"
-        for r in rows
-    ]
-    _write_lines(path, "plotdata",
-                 "kind,scope,layer,metric,variant,series,wave,value", lines)
-
-
-def write_null_draws(result, path: str | Path) -> None:
-    lines = [fmt_value(x) for x in result.null_draws]
-    _write_lines(path, "nulldraws",
-                 f"# observed={fmt_value(result.observed)} p={fmt_value(result.p_value)} "
-                 f"sided={result.sided} skipped={result.skipped}", lines)
-
-
-def write_distances(rows, path: str | Path) -> None:
-    lines = [f"{r['village_id']},{r['dosage_group']},{fmt_value(r['wasserstein'])}"
-             for r in rows]
-    _write_lines(path, "wasserstein", "village_id,dosage_group,wasserstein", lines)
-
-
-def write_welch(results: Mapping[str, object], path: str | Path) -> None:
-    lines = []
-    for name in sorted(results):
-        r = results[name]
-        lines.append(f"{name},{fmt_value(r.t)},{fmt_value(r.df)},{fmt_value(r.p)},"
-                     f"{fmt_value(r.ci95[0])},{fmt_value(r.ci95[1])}")
-    _write_lines(path, "welch", "comparison,t,df,p,ci_lo,ci_hi", lines)
-
-
-def write_curve(curve, path: str | Path) -> None:
-    lines = [f"{fmt_value(x)},{fmt_value(y)}" for x, y in curve.fitted]
-    _write_lines(path, "doseresponse", "dosage,fitted_change", lines)
-
-
-def write_points(points, path: str | Path) -> None:
-    lines = [f"{fmt_value(x)},{fmt_value(y)}" for x, y in sorted(points)]
-    _write_lines(path, "doseresponse-points", "dosage,change", lines)
-
-
-def write_regression(fit, path: str | Path) -> None:
-    from .dyadic import odds_ratio_summary
-
-    ors = odds_ratio_summary(fit)
-    lines = []
-    for term, coef in fit.coefficients.items():
-        odds, pct = ors[term]
-        lines.append(
-            f"{term},{fmt_value(coef.estimate)},{fmt_value(coef.std_error)},"
-            f"{fmt_value(coef.z)},{fmt_value(coef.p)},{fmt_value(odds)},{fmt_value(pct)}"
-        )
-    meta = (f"# outcome={fit.outcome} scheme={fit.scheme} reference={fit.reference} "
-            f"converged={fit.converged} n={fit.n_observations} "
-            f"loglik={fmt_value(fit.log_likelihood)}"
-            + (f" separated={'+'.join(fit.separated)}" if fit.separated else ""))
-    _write_lines(path, "regression",
-                 meta + "\nterm,estimate,std_error,z,p,odds_ratio,pct_change", lines)
+    write_lines(path, "metrics",
+                "individual_id,village_id,wave,layer,metric,value", sorted(lines))
 
 
 def write_dyads(rows: Iterable[tuple[str, str, str, str, str, bool, bool]],
@@ -611,17 +533,14 @@ def write_dyads(rows: Iterable[tuple[str, str, str, str, str, bool, bool]],
     """One line per (village, ego, alter, coarse, fine, link_w1, link_w3) row, streamed."""
     lines = (f"{village},{ego},{alter},{coarse},{fine},{int(w1)},{int(w3)}"
              for village, ego, alter, coarse, fine, w1, w3 in rows)
-    _write_lines(path, "dyads", "village,ego,alter,coarse,fine,link_w1,link_w3", lines)
+    write_lines(path, "dyads", "village,ego,alter,coarse,fine,link_w1,link_w3", lines)
 
 
 def write_roster_csv(panel: StudyPanel, path: str | Path) -> None:
-    lines = []
-    for iid in panel.index.individuals:
-        ind = panel.individuals[iid]
-        alpha = panel.design.village_dosages[ind.village_id]
-        lines.append(f"{ind.id},{ind.household_id},{ind.village_id},"
-                     f"{int(ind.treated)},1,1,{fmt_value(alpha)}")
-    _write_lines(path, None, ",".join(ROSTER_REQUIRED) + ",village_dosage", lines)
+    people = (panel.individuals[iid] for iid in panel.index.individuals)
+    write_table(path, None, ",".join(ROSTER_REQUIRED) + ",village_dosage",
+                ((ind.id, ind.household_id, ind.village_id, ind.treated, 1, 1,
+                  panel.design.village_dosages[ind.village_id]) for ind in people))
 
 
 def write_edges_csv(panel: StudyPanel, layer_specs: Sequence[LayerSpec],
@@ -639,13 +558,13 @@ def write_edges_csv(panel: StudyPanel, layer_specs: Sequence[LayerSpec],
         q = question_for[layer]
         lines += [f"{wave},{village},{q},{net.nodes[u]},{net.nodes[v]}"
                   for u, v in zip(net.src.tolist(), net.dst.tolist())]
-    _write_lines(path, None, ",".join(EDGE_COLUMNS), lines)
+    write_lines(path, None, ",".join(EDGE_COLUMNS), lines)
 
 
 def write_layer_map_csv(layer_specs: Sequence[LayerSpec], path: str | Path) -> None:
-    _write_lines(path, None, ",".join(LAYER_COLUMNS),
-                 [f"{q},{spec.layer},{int(spec.inverted[q])}"
-                  for spec in layer_specs for q in spec.question_ids])
+    write_table(path, None, ",".join(LAYER_COLUMNS),
+                ((q, spec.layer, spec.inverted[q])
+                 for spec in layer_specs for q in spec.question_ids))
 
 
 # ---------------------------------------------------------------------------

@@ -235,7 +235,10 @@ def evaluate(panel: StudyPanel, table: MetricTable, spec: ContrastSpec,
     asg = asg if asg is not None else observed_assignment(panel)
     focal, comparison = classify_groups(panel, spec, asg)
     control = tuple(i for v in control_villages(asg) for i in members(panel, v))
-    raw, pct = did_statistic(table, spec.metric, focal, comparison, control, scaling)
+    try:
+        raw, pct = did_statistic(table, spec.metric, focal, comparison, control, scaling)
+    except EffectError as exc:   # an undefined statistic's message names the contrast
+        raise EffectError(f"{exc} for {spec.label()}") from None
     return raw, pct, len(focal), len(comparison)
 
 

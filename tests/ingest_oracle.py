@@ -387,7 +387,12 @@ def ingest(roster: Path, edges: Path, layer_map: Path, outdir: Path) -> None:
     kept_rows, kept_responses, report = apply_inclusion_criteria(rows, responses)
     panel = build_panel(kept_rows, kept_responses, specs)
     write_panel(panel, outdir / "panel.json")
-    vio.write_exclusion_report(report, outdir / "exclusions.csv")
+    with open(outdir / "exclusions.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("# format: villagenet/exclusions v1\nrecord,reason,count\n")
+        for record, counts in (("individual", report.individuals),
+                               ("response", report.responses)):
+            for reason in sorted(counts):
+                fh.write(f"{record},{reason},{counts[reason]}\n")
 
 
 # ---------------------------------------------------------------------------

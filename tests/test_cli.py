@@ -6,6 +6,7 @@ import io
 import json
 from collections import Counter
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -528,6 +529,16 @@ class TestSubcommands:
         assert code == 1
         assert "no control villages available" in capsys.readouterr().err
 
+    def test_undefined_contrast_names_its_label(self, sim, tmp_path, capsys):
+        # one high-dosage higher-order spillover node, whose clustering is undefined
+        assert main(["effects", "--layers", "health", "--panel", str(sim["sim"] / "panel.json"),
+                     "--metrics", "clustering", "--kinds", "spillover_higher_order",
+                     "--scopes", "high", "--variants", "exclude_intra_household",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: group of 1 has no defined clustering values for "
+            "spillover_higher_order/high/health/clustering/exclude_intra_household\n")
+
     def test_failed_run_removes_the_out_it_made(self, sim, tmp_path, capsys):
         # exit 2: a panel archive is no scenario; the parents the run made go too
         assert main(["simulate", "--scenario", str(sim["sim"] / "panel.json"),
@@ -621,6 +632,67 @@ class TestSubcommands:
         assert code == 2
         assert (f"{option}: {value} is undefined on undirected layer aggregated"
                 in capsys.readouterr().err)
+
+
+# Per command: each file it writes, its format kind (None for an input-format
+# file, which has no format line) and the header lines under the format line;
+# a compiled pattern stands for a header line that carries values.
+EXPORT_HEADERS = {
+    "ingest": {"exclusions.csv": ("exclusions", "record,reason,count")},
+    "metrics": {"metrics.csv": ("metrics", "individual_id,village_id,wave,layer,metric,value")},
+    "effects": {
+        "effects.csv": ("effects", "kind,scope,layer,metric,variant,pct_effect,raw_did,"
+                                   "p_value,n_focal,n_comparison,permutations"),
+        "plotdata.csv": ("plotdata", "kind,scope,layer,metric,variant,series,wave,value"),
+    },
+    "permtest": {"nulldraws.txt": (
+        "nulldraws", re.compile(r"# observed=\S+ p=\S+ sided=two skipped=\d+"))},
+    "dyadic": {
+        "dissolution_coarse.csv": (
+            "regression", re.compile(r"# outcome=dissolution scheme=coarse reference=UoUo "
+                                     r"converged=True n=\d+ loglik=\S+"),
+            "term,estimate,std_error,z,p,odds_ratio,pct_change"),
+        "correspondence.csv": ("correspondence",
+                               "term,dyadic_estimate,node_contrast,signs_agree"),
+        "dyads.csv": ("dyads", "village,ego,alter,coarse,fine,link_w1,link_w3"),
+    },
+    "wasserstein": {
+        "distances.csv": ("wasserstein", "village_id,dosage_group,wasserstein"),
+        "welch.csv": ("welch", "comparison,t,df,p,ci_lo,ci_hi"),
+    },
+    "doseresponse": {
+        "doseresponse.csv": ("doseresponse", "dosage,fitted_change"),
+        "points.csv": ("doseresponse-points", "dosage,change"),
+    },
+    "replicate": {
+        "calibration.csv": ("calibration", "replicate,spec,estimate_pct,oracle_pct,p_value"),
+        "summary.csv": ("calibration-summary", "spec,quantity,value"),
+    },
+    "simulate": {
+        "roster.csv": (None, ROSTER_HEAD + ",village_dosage"),
+        "edges.csv": (None, EDGE_HEAD.strip()),
+        "layer_map.csv": (None, "question_id,layer,inverted"),
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(EXPORT_HEADERS))
+def test_format_line_and_header_of_each_file(sim, tmp_path, command):
+    source = {"ingest": ["--roster", str(sim["sim"] / "roster.csv"),
+                         "--edges", str(sim["sim"] / "edges.csv"),
+                         "--layer-map", str(sim["sim"] / "layer_map.csv")],
+              "dyadic": ["--panel", str(sim["sim"] / "panel.json"), "--export-dyads", "1"],
+              "replicate": ["--scenario", str(sim["scenario"])],
+              "simulate": ["--scenario", str(sim["scenario"])]}
+    assert main([command, *source.get(command, ["--panel", str(sim["sim"] / "panel.json")]),
+                 "--out", str(tmp_path)]) == 0
+    for name, (kind, *header) in EXPORT_HEADERS[command].items():
+        lines = (tmp_path / name).read_text().splitlines()
+        if kind is not None:
+            assert lines.pop(0) == f"# format: villagenet/{kind} v1"
+        assert len(lines) >= len(header), name
+        for line, want in zip(lines, header):
+            assert want.fullmatch(line) if isinstance(want, re.Pattern) else line == want, name
 
 
 class TestInputFaults:
@@ -835,6 +907,18 @@ class TestReproducibility:
         results = {name: digest for name, digest in digest_dir(a).items()
                    if name != "manifest.json"}
         assert results and results.items() <= digest_dir(b).items()
+
+    def test_manifest_key_the_command_does_not_take_warns(self, sim, tmp_path, caplog):
+        assert main(["metrics", "--panel", str(sim["sim"] / "panel.json"),
+                     "--out", str(tmp_path / "a")]) == 0
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        manifest["config"]["layr"] = manifest["config"].pop("layer")
+        mistyped = tmp_path / "mistyped_manifest.json"
+        mistyped.write_text(json.dumps(manifest))
+        caplog.clear()
+        assert main(["metrics", "--config", str(mistyped), "--out", str(tmp_path / "b")]) == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{mistyped}: metrics takes no option 'layr'; ignoring it"]
 
     @pytest.mark.parametrize("command,name,value,expected", [
         ("doseresponse", "span", "x", 'expected a number, got "x"'),

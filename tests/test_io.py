@@ -4,6 +4,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,15 +231,18 @@ class TestPanelArchive:
 
 
 class TestExports:
-    def test_format_version_first_line(self, tmp_path):
-        from villagenet.randomization import PermutationResult
-        result = PermutationResult(observed=1.0, null_draws=(0.5, -0.2),
-                                   p_value=2 / 3, sided="two", permutations=2)
-        path = tmp_path / "draws.txt"
-        vio.write_null_draws(result, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# format: villagenet/nulldraws v1"
-        assert lines[2:] == ["0.5", "-0.2"]
+    def test_write_table_formats_each_cell(self, tmp_path):
+        path = tmp_path / "table.csv"
+        vio.write_table(path, "demo", "# n=2 sided=two\nname,flag,value,count",
+                        [("a", True, np.float64(0.1) + 0.2, 3),
+                         ("b", False, None, -4),
+                         ("c", False, float("nan"), 0)])
+        assert path.read_bytes() == (b"# format: villagenet/demo v1\n"
+                                     b"# n=2 sided=two\n"
+                                     b"name,flag,value,count\n"
+                                     b"a,1,0.3,3\n"
+                                     b"b,0,NA,-4\n"
+                                     b"c,0,NA,0\n")
 
     def test_fmt_value(self):
         assert vio.fmt_value(None) == "NA"
