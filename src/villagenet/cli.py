@@ -1,10 +1,10 @@
 """Command-line front end: ingest -> metrics -> effects -> inference -> exports.
 
 Every subcommand writes its exports plus a ``manifest.json`` capturing the
-fully resolved configuration (inputs, seed, analysis selections). Re-running a
-subcommand with ``--config <manifest.json>`` reproduces the outputs byte for
-byte; ``--out`` and ``--threads`` are runtime details kept out of the manifest
-so they never change results.
+fully resolved configuration (inputs, analysis selections, any draw seed).
+Re-running a subcommand with ``--config <manifest.json>`` reproduces the
+outputs byte for byte; ``--out`` and ``--threads`` are runtime details kept
+out of the manifest so they never change results.
 
 Importing this module loads only ``core``, ``io`` and ``networks`` from the
 package: parsing and validation need nothing more, since the enumerations the
@@ -63,10 +63,7 @@ def _parse_variants(value: str) -> list[tuple[str, ...]]:
     return out
 
 
-COMMON_OPTIONS = {
-    "seed": 0,
-    "threads": 1,
-}
+COMMON_OPTIONS = {"threads": 1}
 
 COMMAND_OPTIONS: dict[str, dict[str, object]] = {
     "ingest": {"roster": None, "edges": None, "layer_map": None},
@@ -74,12 +71,12 @@ COMMAND_OPTIONS: dict[str, dict[str, object]] = {
     "effects": {
         "panel": None, "layers": "health", "metrics": "degree,in_degree,out_degree",
         "scopes": "all", "kinds": "overall,total,spillover,direct",
-        "variants": "none", "permutations": 0, "blocks": "none",
+        "variants": "none", "permutations": 0, "seed": 0, "blocks": "none",
         "scaling": "control_w1",
     },
     "permtest": {
         "panel": None, "layer": "health", "metric": "degree", "kind": "total",
-        "scope": "all", "variants": "none", "permutations": 2000,
+        "scope": "all", "variants": "none", "permutations": 2000, "seed": 0,
         "sided": "two", "blocks": "none", "scaling": "control_w1",
     },
     "dyadic": {
@@ -173,6 +170,7 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
     # permtest needs at least one draw; effects and replicate take 0 as "no p-values"
     low = 1 if command == "permtest" else 0
     for name, fits, allowed in (("threads", lambda x: x >= 1, ">= 1"),
+                                ("replicates", lambda x: x >= 1, ">= 1"),
                                 ("permutations", lambda x: x >= low, f">= {low}"),
                                 ("span", lambda x: 0 < x <= 1, "in (0, 1]"),
                                 ("degree", lambda x: x in (1, 2), "1 or 2")):
@@ -384,7 +382,7 @@ def run_wasserstein(config: dict, outdir: Path) -> None:
 
 def run_doseresponse(config: dict, outdir: Path) -> None:
     from .metrics import metric_table
-    from .stats import loess_fit
+    from .stats import StatsError, loess_fit
 
     panel = vio.read_panel(config["panel"])
     layer = str(config["layer"])
@@ -404,7 +402,11 @@ def run_doseresponse(config: dict, outdir: Path) -> None:
         if n1 == 0 or n3 == 0:
             continue   # no defined value at one wave
         points.append((alpha, m3 - m1))
-    curve = loess_fit(points, span=float(config["span"]), degree=int(config["degree"]))
+    degree = int(config["degree"])
+    try:
+        curve = loess_fit(points, span=float(config["span"]), degree=degree)
+    except StatsError as exc:   # too few villages for the fit, or too few neighbors in --span
+        raise IngestionError(str(exc) if len(points) < degree + 2 else f"--span: {exc}") from None
     vio.write_table(outdir / "doseresponse.csv", "doseresponse", "dosage,fitted_change",
                     curve.fitted)
     vio.write_table(outdir / "points.csv", "doseresponse-points", "dosage,change",
@@ -413,7 +415,6 @@ def run_doseresponse(config: dict, outdir: Path) -> None:
 
 
 def run_simulate(config: dict, outdir: Path) -> None:
-    from .core import DEFAULT_LAYER_SPECS
     from .synth import SyntheticScenario, generate_panel
 
     scenario = SyntheticScenario.from_dict(vio.read_json(str(config["scenario"])))
@@ -421,8 +422,8 @@ def run_simulate(config: dict, outdir: Path) -> None:
     vio.write_panel(panel, outdir / "panel.json")
     vio.write_oracle(oracle, outdir / "oracle.json")
     vio.write_roster_csv(panel, outdir / "roster.csv")
-    vio.write_edges_csv(panel, DEFAULT_LAYER_SPECS, outdir / "edges.csv")
-    vio.write_layer_map_csv(DEFAULT_LAYER_SPECS, outdir / "layer_map.csv")
+    vio.write_edges_csv(panel, outdir / "edges.csv")
+    vio.write_layer_map_csv(outdir / "layer_map.csv")
     print(f"simulated {len(panel.individuals)} individuals in "
           f"{len(panel.villages)} villages")
 

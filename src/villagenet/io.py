@@ -28,6 +28,7 @@ import numpy as np
 
 from .core import (
     BASE_LAYERS,
+    DEFAULT_LAYER_SPECS,
     CodedColumn,
     IngestionError,
     Individual,
@@ -95,12 +96,6 @@ def _read_lines(path: str | Path) -> tuple[np.ndarray, list[str]]:
     return numbers, lines
 
 
-def _read_rows(path: str | Path) -> tuple[list[int], list[list[str]]]:
-    """Line numbers and comma-split fields, row by row (for small files)."""
-    numbers, lines = _read_lines(path)
-    return numbers.tolist(), [line.split(",") for line in lines]
-
-
 # A validated column: its field position, its parser, and the fault message for a
 # field (as read) that the parser rejects with the given exception.
 _Rule = tuple[int, Callable[[str], object], Callable[[str, Exception], str]]
@@ -136,6 +131,17 @@ def _parse_rows(path: str | Path, numbers: np.ndarray, lines: list[str], width: 
             except (ValueError, OverflowError) as exc:
                 raise IngestionError(f"{path}: line {lineno}: {fault(fields[k], exc)}") from None
     raise AssertionError(f"{path}: a column-wise check failed on no line")
+
+
+def _read_table(path: str | Path, what: str, header: Sequence[str],
+                rules: Sequence[_Rule]) -> tuple[np.ndarray, list[list[str]], list[list]]:
+    """The line numbers, columns and parsed columns of a file under exactly ``header``."""
+    numbers, lines = _read_lines(path)
+    if tuple(lines[0].split(",")) != tuple(header):
+        raise IngestionError(
+            f"{path}: line {numbers[0]}: {what} header must be {','.join(header)}")
+    numbers, lines = numbers[1:], lines[1:]
+    return numbers, *_parse_rows(path, numbers, lines, len(header), rules)
 
 
 def _number_or_none(token: str) -> float | None:
@@ -211,16 +217,8 @@ def _wave_fault(token: str, exc: Exception) -> str:
 
 
 def read_edges(path: str | Path) -> ResponseTable:
-    numbers, lines = _read_lines(path)
-    lineno, header = int(numbers[0]), lines[0].split(",")
-    if tuple(header) != EDGE_COLUMNS:
-        raise IngestionError(
-            f"{path}: line {lineno}: edge header must be {','.join(EDGE_COLUMNS)}"
-        )
-    numbers, lines = numbers[1:], lines[1:]
-    columns, (waves,) = _parse_rows(path, numbers, lines, len(EDGE_COLUMNS),
-                                    [(0, _parse_wave, _wave_fault)])
-    del lines
+    numbers, columns, (waves,) = _read_table(path, "edge", EDGE_COLUMNS,
+                                             [(0, _parse_wave, _wave_fault)])
     n = len(waves)
     people = CodedColumn.of(columns[3] + columns[4]).relabel(str.strip)
     return ResponseTable(
@@ -233,32 +231,24 @@ def read_edges(path: str | Path) -> ResponseTable:
     )
 
 
+def _base_layer(token: str) -> str:
+    layer = token.strip()
+    if layer not in BASE_LAYERS:
+        raise ValueError(token)
+    return layer
+
+
 def read_layer_map(path: str | Path) -> list[LayerSpec]:
-    numbers, rows = _read_rows(path)
-    lineno, header = numbers[0], rows[0]
-    if tuple(header) != LAYER_COLUMNS:
-        raise IngestionError(
-            f"{path}: line {lineno}: layer map header must be {','.join(LAYER_COLUMNS)}"
-        )
+    numbers, columns, (layers, flags) = _read_table(path, "layer map", LAYER_COLUMNS, [
+        (1, _base_layer,
+         lambda t, _: f"layer must be one of {BASE_LAYERS}, got {t.strip()!r}"),
+        (2, _parse_bool, lambda t, _: f"column inverted: cannot parse boolean {t.strip()!r}"),
+    ])
     per_layer: dict[str, dict[str, bool]] = {}
-    for lineno, fields in zip(numbers[1:], rows[1:]):
-        if len(fields) != len(LAYER_COLUMNS):
-            raise IngestionError(f"{path}: line {lineno}: expected 3 fields")
-        question, layer, inverted = (f.strip() for f in fields)
-        if layer not in BASE_LAYERS:
-            raise IngestionError(
-                f"{path}: line {lineno}: layer must be one of {BASE_LAYERS}, got {layer!r}"
-            )
-        for existing in per_layer.values():
-            if question in existing:
-                raise IngestionError(
-                    f"{path}: line {lineno}: question {question} mapped twice"
-                )
-        try:
-            flag = _parse_bool(inverted)
-        except ValueError:
-            raise IngestionError(f"{path}: line {lineno}: column inverted: "
-                                 f"cannot parse boolean {inverted!r}") from None
+    for lineno, question, layer, flag in zip(numbers.tolist(), map(str.strip, columns[0]),
+                                             layers, flags):
+        if any(question in mapped for mapped in per_layer.values()):
+            raise IngestionError(f"{path}: line {lineno}: question {question} mapped twice")
         per_layer.setdefault(layer, {})[question] = flag
     missing = [l for l in BASE_LAYERS if l not in per_layer]
     if missing:
@@ -269,18 +259,11 @@ def read_layer_map(path: str | Path) -> list[LayerSpec]:
 
 def read_blocks(path: str | Path, villages: Sequence[str]) -> dict[str, str]:
     """Each village's block label; every one of ``villages``, and no other, needs one."""
-    numbers, rows = _read_rows(path)
-    lineno, header = numbers[0], rows[0]
-    if tuple(header) != BLOCK_COLUMNS:
-        raise IngestionError(
-            f"{path}: line {lineno}: block header must be {','.join(BLOCK_COLUMNS)}"
-        )
+    numbers, columns, _ = _read_table(path, "block", BLOCK_COLUMNS, ())
     known = set(villages)
     blocks: dict[str, str] = {}
-    for lineno, fields in zip(numbers[1:], rows[1:]):
-        if len(fields) != 2:
-            raise IngestionError(f"{path}: line {lineno}: expected 2 fields")
-        village, block = fields[0].strip(), fields[1].strip()
+    for lineno, village, block in zip(numbers.tolist(), map(str.strip, columns[0]),
+                                      map(str.strip, columns[1])):
         if village in blocks:
             raise IngestionError(f"{path}: line {lineno}: village {village} listed twice")
         if village not in known:
@@ -543,15 +526,10 @@ def write_roster_csv(panel: StudyPanel, path: str | Path) -> None:
                   panel.design.village_dosages[ind.village_id]) for ind in people))
 
 
-def write_edges_csv(panel: StudyPanel, layer_specs: Sequence[LayerSpec],
-                    path: str | Path) -> None:
-    """Export base-layer edges as responses to each layer's first straight question."""
-    question_for = {}
-    for spec in layer_specs:
-        straight = [q for q in spec.question_ids if not spec.inverted[q]]
-        if not straight:
-            raise IngestionError(f"layer {spec.layer} has no non-inverted question")
-        question_for[spec.layer] = straight[0]
+def write_edges_csv(panel: StudyPanel, path: str | Path) -> None:
+    """Base-layer edges as responses to each default layer's first straight question."""
+    question_for = {spec.layer: next(q for q in spec.question_ids if not spec.inverted[q])
+                    for spec in DEFAULT_LAYER_SPECS}
     lines = []
     for (village, wave, layer) in sorted(panel.networks):
         net = panel.networks[(village, wave, layer)]
@@ -561,10 +539,10 @@ def write_edges_csv(panel: StudyPanel, layer_specs: Sequence[LayerSpec],
     write_lines(path, None, ",".join(EDGE_COLUMNS), lines)
 
 
-def write_layer_map_csv(layer_specs: Sequence[LayerSpec], path: str | Path) -> None:
+def write_layer_map_csv(path: str | Path) -> None:
     write_table(path, None, ",".join(LAYER_COLUMNS),
                 ((q, spec.layer, spec.inverted[q])
-                 for spec in layer_specs for q in spec.question_ids))
+                 for spec in DEFAULT_LAYER_SPECS for q in spec.question_ids))
 
 
 # ---------------------------------------------------------------------------

@@ -738,12 +738,20 @@ class TestInputFaults:
         ({"layer_map": "question,layer,inverted\n"}, "layer_map",
          "line 1: layer map header must be question_id,layer,inverted"),
         ({"layer_map": "question_id,layer,inverted\nhealth_advice_get,health\n"}, "layer_map",
-         "line 2: expected 3 fields"),
+         "line 2: expected 3 fields, got 2"),
         ({"layer_map": "question_id,layer,inverted\nhealth_advice_get,health,maybe\n"},
          "layer_map", "line 2: column inverted: cannot parse boolean 'maybe'"),
+        # field faults are found on every line before a question mapped twice
+        ({"layer_map": "question_id,layer,inverted\nq1,health,0\nq1,health,0\n"
+                       "q2,friendship, maybe \n"},
+         "layer_map", "line 4: column inverted: cannot parse boolean 'maybe'"),
+        ({"layer_map": "question_id,layer,inverted\nq1,gossip,0\nq2,health,maybe\n"},
+         "layer_map", "line 2: layer must be one of ('health', 'friendship', 'financial'), "
+                      "got 'gossip'"),
     ], ids=["two_declared_dosages", "treated_count_of_no_arm", "empty_roster",
             "repeated_roster_column", "edge_header", "wave_out_of_range", "layer_map_header",
-            "layer_map_two_fields", "layer_map_inverted_maybe"])
+            "layer_map_two_fields", "layer_map_inverted_maybe",
+            "layer_map_field_fault_before_repeat", "layer_map_unknown_layer_first"])
     def test_bad_ingest_input(self, sim, tmp_path, capsys, files, named, message):
         paths = {}
         for name in ("roster", "edges", "layer_map"):
@@ -758,7 +766,7 @@ class TestInputFaults:
 
     @pytest.mark.parametrize("text,message", [
         ("village,block\n", "line 1: block header must be village_id,block"),
-        ("village_id,block\nv000,b,c\n", "line 2: expected 2 fields"),
+        ("village_id,block\nv000,b,c\n", "line 2: expected 2 fields, got 3"),
         ("village_id,block\nv000,b\nv000,c\n", "line 3: village v000 listed twice"),
     ], ids=["header", "three_fields", "village_twice"])
     def test_bad_blocks_file(self, sim, tmp_path, capsys, text, message):
@@ -767,6 +775,34 @@ class TestInputFaults:
         assert main(["effects", "--panel", str(sim["sim"] / "panel.json"),
                      "--blocks", str(blocks), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {blocks}: {message}\n"
+
+    def test_too_few_villages_for_loess_exit_2(self, tmp_path, capsys):
+        # two villages with treated members: loess needs three points, whatever the span
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "seed": 3, "arms": [[0.0, 2], [0.2, 1], [0.75, 1]], "village_size": [6, 8],
+            "layers": ["health", "friendship", "financial"]}))
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "sim")]) == 0
+        capsys.readouterr()
+        assert main(["doseresponse", "--panel", str(tmp_path / "sim" / "panel.json"),
+                     "--group", "treated", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: loess needs at least 3 points\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_replicates_names_the_option(self, sim, tmp_path, capsys):
+        assert main(["replicate", "--scenario", str(sim["scenario"]), "--replicates", "0",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: --replicates must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("command", ["ingest", "metrics", "dyadic", "wasserstein",
+                                         "doseresponse", "simulate", "replicate"])
+    def test_seed_only_where_it_is_read(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--seed", "5", "--out", str(tmp_path / "o")])
+        assert exited.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_panel_archive_as_scenario(self, sim, tmp_path, capsys):
         assert main(["simulate", "--scenario", str(sim["sim"] / "panel.json"),
@@ -779,7 +815,8 @@ class TestInputFaults:
         ("--span", "nan", "--span must be in (0, 1], got nan"),
         ("--degree", "3", "--degree must be 1 or 2, got 3"),
         ("--degree", "0", "--degree must be 1 or 2, got 0"),
-    ], ids=["span_0", "span_2", "span_nan", "degree_3", "degree_0"])
+        ("--span", "0.01", "--span: span 0.01 yields 1 neighbors; need at least 2"),
+    ], ids=["span_0", "span_2", "span_nan", "degree_3", "degree_0", "span_too_few_neighbors"])
     def test_bad_loess_option(self, sim, tmp_path, capsys, option, value, named):
         assert main(["doseresponse", "--panel", str(sim["sim"] / "panel.json"), option, value,
                      "--out", str(tmp_path / "o")]) == 2
@@ -919,6 +956,22 @@ class TestReproducibility:
         assert main(["metrics", "--config", str(mistyped), "--out", str(tmp_path / "b")]) == 0
         assert [r.getMessage() for r in caplog.records] == [
             f"{mistyped}: metrics takes no option 'layr'; ignoring it"]
+
+    def test_manifest_with_seed_replays_where_no_seed_is_read(self, sim, tmp_path, caplog):
+        # manifests of earlier versions carry "seed" on every command
+        assert main(["metrics", "--panel", str(sim["sim"] / "panel.json"),
+                     "--out", str(tmp_path / "a")]) == 0
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert "seed" not in manifest["config"]
+        manifest["config"]["seed"] = 0
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        caplog.clear()
+        assert main(["metrics", "--config", str(old), "--out", str(tmp_path / "b")]) == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{old}: metrics takes no option 'seed'; ignoring it"]
+        assert ((tmp_path / "a" / "metrics.csv").read_bytes()
+                == (tmp_path / "b" / "metrics.csv").read_bytes())
 
     @pytest.mark.parametrize("command,name,value,expected", [
         ("doseresponse", "span", "x", 'expected a number, got "x"'),
