@@ -119,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in COMMAND_OPTIONS.items():
         p = sub.add_parser(command)
+        p.set_defaults(parser=p)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", default=None,
                        help="manifest.json to take defaults from")
@@ -314,8 +315,8 @@ def run_permtest(config: dict, outdir: Path) -> None:
 
 
 def run_dyadic(config: dict, outdir: Path) -> None:
-    from .dyadic import (dyad_dataset, dyad_rows, estimand_correspondence, fit_logistic_irls,
-                         odds_ratio_summary)
+    from .dyadic import (DYAD_COLUMNS, dyad_blocks, dyad_dataset, estimand_correspondence,
+                         fit_logistic_irls, odds_ratio_summary)
 
     panel = vio.read_panel(config["panel"])
     layer = str(config["layer"])
@@ -341,7 +342,7 @@ def run_dyadic(config: dict, outdir: Path) -> None:
                         [(r.term, r.dyadic_estimate, r.node_contrast, r.signs_agree)
                          for r in rows])
     if int(config["export_dyads"]):
-        vio.write_dyads(dyad_rows(panel, layer), outdir / "dyads.csv")
+        vio.write_lines(outdir / "dyads.csv", "dyads", DYAD_COLUMNS, dyad_blocks(panel, layer))
     print(f"wrote dyadic regressions for layer {layer}")
 
 
@@ -469,7 +470,9 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:   # refused by the command's own parser, which names the command
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     outdir = Path(args.out)
     missing = [d for d in (outdir, *outdir.parents) if not d.exists()]   # deepest first
     try:

@@ -9,7 +9,8 @@ from the panel's study-wide index (`core.StudyIndex`), under the observed
 assignment. Category indicators are the only covariates, so a sample is kept
 as counts: per fine category, the number of pairs in each (wave-1 link,
 wave-3 link) state, taken per village straight from the cached adjacency
-matrices without one row per dyad. Dissolution and formation are modelled by
+matrices without one row per dyad. The same village loop writes the exported
+pairs one text block per village. Dissolution and formation are modelled by
 saturated logistic regressions on category indicators, fitted to these grouped
 binomial counts in closed form (Agresti, Categorical Data Analysis); the
 log-likelihood's score and Hessian are kept to check fits against. A term that
@@ -66,20 +67,19 @@ def refinement_codes(src: np.ndarray, dst: np.ndarray, treated: np.ndarray) -> n
 
 
 def _villages(panel: StudyPanel, layer: str) -> Iterator[tuple]:
-    """Per village: id, members, wave-1 and wave-3 adjacency, refinement codes.
+    """Per village: id, members, wave-1 and wave-3 adjacency, treated flags, refinement codes.
 
-    The codes are None in a control village, where every pair is UoUo.
-    Network nodes are the village's members in the same sorted order.
+    The one village loop of everything taken from pairs. The codes are None in
+    a control village, where every pair is UoUo. All follow the members' order.
     """
     index = panel.index
     dosages, treated = index.observed
     for k, village in enumerate(index.villages):
         net1 = panel.network(village, 1, layer)
         a3 = panel.network(village, 3, layer).adjacency
-        codes = None
-        if dosages[k] != 0.0:
-            codes = refinement_codes(net1.src, net1.dst, treated[index.members[k]])
-        yield village, net1.nodes, net1.adjacency, a3, codes
+        flags = treated[index.members[k]]
+        codes = None if dosages[k] == 0.0 else refinement_codes(net1.src, net1.dst, flags)
+        yield village, net1.nodes, net1.adjacency, a3, flags, codes
 
 
 @dataclass
@@ -118,7 +118,7 @@ def dyad_dataset(panel: StudyPanel, layer: str, sample: str = "all") -> DyadData
     if sample != "all":
         raise DyadicError(f"unknown dyad sample {sample}")
     counts = np.zeros((len(FINE_CATEGORIES), 4), dtype=np.int64)
-    for _, _, a1, a3, codes in _villages(panel, layer):
+    for _, _, a1, a3, _, codes in _villages(panel, layer):
         state = 2 * a1.astype(np.int8) + a3
         np.fill_diagonal(state, -1)
         onehot = None if codes is None else np.eye(4)[codes]
@@ -131,19 +131,28 @@ def dyad_dataset(panel: StudyPanel, layer: str, sample: str = "all") -> DyadData
     return DyadDataset(layer=layer, counts=counts)
 
 
-def dyad_rows(panel: StudyPanel,
-              layer: str) -> Iterator[tuple[str, str, str, str, str, bool, bool]]:
-    """Every ordered within-village pair, one village at a time.
+DYAD_COLUMNS = "village,ego,alter,coarse,fine,link_w1,link_w3"
+# A dyads.csv line's tail "coarse,fine,link_w1,link_w3\n", at 4*fine code + link state.
+_DYAD_TAILS = np.array([f"{COARSE_OF_FINE[f]},{FINE_CATEGORIES[f]},{s >> 1},{s & 1}\n"
+                        for f in range(len(FINE_CATEGORIES)) for s in range(4)], dtype=object)
 
-    Yields (village, ego, alter, coarse, fine, link_w1, link_w3) with villages
-    in panel order and pairs row by row in member order.
+
+def dyad_blocks(panel: StudyPanel, layer: str) -> Iterator[str]:
+    """The DYAD_COLUMNS lines of every ordered within-village pair, one block per village.
+
+    Villages in panel order, pairs row by row in member order; a village of
+    fewer than two members yields no block. A line joins its ego's "village,ego,",
+    its alter's "alter," and its tail, gathered per village in one object array.
     """
-    for village, members, a1, a3, codes in _villages(panel, layer):
+    for village, members, a1, a3, _, codes in _villages(panel, layer):
         ii, jj = np.nonzero(~np.eye(len(members), dtype=bool))
-        fine = np.zeros(ii.size, dtype=np.intp) if codes is None else 1 + 4 * codes[ii] + codes[jj]
-        for i, j, f, w1, w3 in zip(ii.tolist(), jj.tolist(), fine.tolist(),
-                                   a1[ii, jj].tolist(), a3[ii, jj].tolist()):
-            yield village, members[i], members[j], COARSE_OF_FINE[f], FINE_CATEGORIES[f], w1, w3
+        if ii.size:
+            fine = 0 if codes is None else 1 + 4 * codes[ii] + codes[jj]
+            parts = np.empty((ii.size, 3), dtype=object)
+            parts[:, 0] = np.array([f"{village},{m}," for m in members], dtype=object)[ii]
+            parts[:, 1] = np.array([f"{m}," for m in members], dtype=object)[jj]
+            parts[:, 2] = _DYAD_TAILS[4 * fine + 2 * a1[ii, jj] + a3[ii, jj]]
+            yield "".join(parts.ravel().tolist())[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +320,8 @@ class CorrespondenceRow:
     signs_agree: bool
 
 
-def _partner_rates(panel: StudyPanel, layer: str,
-                   wave: int) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+def _partner_rates(panel: StudyPanel,
+                   layer: str) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """Per node, in panel order: wave-3 link rates to/from treated and untreated partners.
 
     Rates divide realized links (column and row sums of the adjacency over
@@ -321,24 +330,18 @@ def _partner_rates(panel: StudyPanel, layer: str,
     a rate with no possible partner is NaN. Also returns the nodes' treated
     and in-control-village masks under the observed assignment.
     """
-    index = panel.index
-    dosages, treated_flags = index.observed
-    parts: dict[str, list[np.ndarray]] = {
-        "in_from_treated": [], "in_from_untreated": [], "out_to_untreated": []}
+    parts = {key: [] for key in ("in_from_treated", "in_from_untreated", "out_to_untreated")}
     treated_parts, control_parts = [], []
-    for k, village in enumerate(index.villages):
-        net = panel.network(village, wave, layer)
-        mat = net.adjacency
-        treated = treated_flags[index.members[k]]
+    for _, _, _, mat, treated, codes in _villages(panel, layer):
+        n = treated.size
         pot_t = treated.sum() - treated.astype(float)
-        pot_u = (net.n - 1) - pot_t
+        pot_u = (n - 1) - pot_t
         for key, links, pot in (("in_from_treated", mat[treated].sum(axis=0), pot_t),
                                 ("in_from_untreated", mat[~treated].sum(axis=0), pot_u),
                                 ("out_to_untreated", mat[:, ~treated].sum(axis=1), pot_u)):
-            parts[key].append(np.divide(links, pot, out=np.full(net.n, np.nan),
-                                        where=pot > 0))
+            parts[key].append(np.divide(links, pot, out=np.full(n, np.nan), where=pot > 0))
         treated_parts.append(treated)
-        control_parts.append(np.full(net.n, dosages[k] == 0.0))
+        control_parts.append(np.full(n, codes is None))
     rates = {key: np.concatenate(vals) for key, vals in parts.items()}
     return rates, np.concatenate(treated_parts), np.concatenate(control_parts)
 
@@ -365,7 +368,7 @@ def estimand_correspondence(
         raise DyadicError(f"correspondence needs the dyad dataset of layer {layer}, "
                           f"not of layer {data.layer}")
     fit = fit_logistic_irls(data, "wave3_link", "coarse")
-    rates, treated, control = _partner_rates(panel, layer, 3)
+    rates, treated, control = _partner_rates(panel, layer)
     untreated_in_treated = ~treated & ~control
     treated = treated & ~control
 

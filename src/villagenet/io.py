@@ -511,14 +511,6 @@ def write_metric_table(table, path: str | Path) -> None:
                 "individual_id,village_id,wave,layer,metric,value", sorted(lines))
 
 
-def write_dyads(rows: Iterable[tuple[str, str, str, str, str, bool, bool]],
-                path: str | Path) -> None:
-    """One line per (village, ego, alter, coarse, fine, link_w1, link_w3) row, streamed."""
-    lines = (f"{village},{ego},{alter},{coarse},{fine},{int(w1)},{int(w3)}"
-             for village, ego, alter, coarse, fine, w1, w3 in rows)
-    write_lines(path, "dyads", "village,ego,alter,coarse,fine,link_w1,link_w3", lines)
-
-
 def write_roster_csv(panel: StudyPanel, path: str | Path) -> None:
     people = (panel.individuals[iid] for iid in panel.index.individuals)
     write_table(path, None, ",".join(ROSTER_REQUIRED) + ",village_dosage",

@@ -3,8 +3,9 @@
 One Python loop over every ordered within-village pair, labelling each from
 string ids and the ``network_oracle`` edge and neighbour lookups: the
 plainest reading of the category rules, kept to check the array-level counts
-and the streamed dyad rows of ``villagenet.dyadic`` against. Also the logistic
-negative log-likelihood that the closed-form fits are checked against.
+and the exported ``dyads.csv`` lines of ``villagenet.dyadic`` against. Also
+the logistic negative log-likelihood that the closed-form fits are checked
+against.
 """
 
 from __future__ import annotations
@@ -99,6 +100,12 @@ def enumerate_dyads(
                 out.append(OracleDyad(village, ego, alter, w1, has_edge(net3, ego, alter),
                                       coarse, fine))
     return out
+
+
+def csv_lines(dyads: Sequence[OracleDyad]) -> list[str]:
+    """One ``village,ego,alter,coarse,fine,link_w1,link_w3`` line per dyad."""
+    return [f"{d.village_id},{d.ego},{d.alter},{d.coarse},{d.fine},"
+            f"{int(d.link_w1)},{int(d.link_w3)}" for d in dyads]
 
 
 OUTCOME_RULES = {

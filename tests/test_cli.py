@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import villagenet
 from villagenet.cli import CHOICES, COMMAND_OPTIONS, main
 
+from dyad_oracle import csv_lines, enumerate_dyads
 from network_oracle import in_neighbors, out_neighbors
 
 SCENARIO = {
@@ -804,6 +805,19 @@ class TestInputFaults:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command,argv", [
+        ("simulate", ["--seed", "5"]), ("dyadic", ["--bogus", "1"])],
+        ids=["simulate_seed", "dyadic_bogus"])
+    def test_unknown_option_names_the_command(self, command, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command, *argv, "--out", str(tmp_path / "o")])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: villagenet {command} [-h] --out OUT")
+        assert err.endswith(f"villagenet {command}: error: unrecognized arguments: "
+                            f"{' '.join(argv)}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_panel_archive_as_scenario(self, sim, tmp_path, capsys):
         assert main(["simulate", "--scenario", str(sim["sim"] / "panel.json"),
                      "--out", str(tmp_path / "o")]) == 2
@@ -1057,14 +1071,19 @@ class TestPlantedRecoveryViaCli:
 
 class TestRemainingFlags:
     def test_export_dyads_flag(self, sim):
-        out = sim["root"] / "dyexp"
-        assert main(["dyadic", "--panel", str(sim["sim"] / "panel.json"),
-                     "--layer", "health", "--schemes", "coarse",
-                     "--outcomes", "dissolution", "--export-dyads", "1",
-                     "--correspondence", "0", "--out", str(out)]) == 0
-        lines = (out / "dyads.csv").read_text().splitlines()
-        assert lines[1] == "village,ego,alter,coarse,fine,link_w1,link_w3"
-        assert len(lines) > 100
+        """Every line of dyads.csv, on a directed and an undirected layer, against the oracle."""
+        import villagenet.io as vio
+        panel = vio.read_panel(sim["sim"] / "panel.json")
+        for layer in ("health", "aggregated"):
+            out = sim["root"] / f"dyexp_{layer}"
+            assert main(["dyadic", "--panel", str(sim["sim"] / "panel.json"),
+                         "--layer", layer, "--schemes", "coarse",
+                         "--outcomes", "dissolution", "--export-dyads", "1",
+                         "--correspondence", "0", "--out", str(out)]) == 0
+            lines = (out / "dyads.csv").read_text().splitlines()
+            assert lines[:2] == [f"# format: villagenet/dyads v{vio.FORMAT_VERSION}",
+                                 "village,ego,alter,coarse,fine,link_w1,link_w3"]
+            assert lines[2:] == csv_lines(enumerate_dyads(panel, layer))
 
     def test_blocks_flag(self, sim, tmp_path):
         import villagenet.io as vio

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -16,13 +16,14 @@ from villagenet import io as vio
 from villagenet.core import ALLOWED_DOSAGES, BASE_LAYERS, treated_household_count
 from villagenet.dyadic import (
     COARSE_CATEGORIES,
+    DYAD_COLUMNS,
     OUTCOMES,
     REFINEMENT_LABELS,
     SCHEMES,
     DyadDataset,
     DyadicError,
+    dyad_blocks,
     dyad_dataset,
-    dyad_rows,
     estimand_correspondence,
     fit_categorical_logistic,
     fit_logistic_irls,
@@ -37,6 +38,7 @@ from conftest import make_panel
 from draw_oracle import members, observed_assignment
 from dyad_oracle import (
     categorize_dyad,
+    csv_lines,
     enumerate_dyads,
     logistic_nll,
     node_refinement,
@@ -76,6 +78,14 @@ def sample_of(data, sample):
     states = list(SAMPLE_STATES[sample])
     counts[:, states] = data.counts[:, states]
     return DyadDataset(data.layer, counts)
+
+
+def written_dyads(panel, layer):
+    """The lines of ``dyads.csv`` written from ``dyad_blocks`` as the CLI writes it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dyads.csv"
+        vio.write_lines(path, "dyads", DYAD_COLUMNS, dyad_blocks(panel, layer))
+        return path.read_text().splitlines()
 
 
 def counted_states(data, scheme):
@@ -127,7 +137,8 @@ class TestEnumerate:
             ego_v = panel.individuals[d.ego].village_id
             alter_v = panel.individuals[d.alter].village_id
             assert ego_v == alter_v == d.village_id
-        for village, ego, alter, *_ in dyad_rows(panel, "health"):
+        for line in written_dyads(panel, "health")[2:]:
+            village, ego, alter, *_ = line.split(",")
             ego_v = panel.individuals[ego].village_id
             alter_v = panel.individuals[alter].village_id
             assert ego_v == alter_v == village
@@ -358,9 +369,7 @@ class TestSharedAdjacency:
         for scheme in SCHEMES:
             assert counted_states(data, scheme) == state_counts(dyads, scheme)
         if sample == "all":
-            assert list(dyad_rows(panel, layer)) == [
-                (d.village_id, d.ego, d.alter, d.coarse, d.fine, d.link_w1, d.link_w3)
-                for d in dyads]
+            assert written_dyads(panel, layer)[2:] == csv_lines(dyads)
 
     def test_correspondence_reuses_a_built_dataset(self, three_layer_panel):
         panel = three_layer_panel
@@ -441,12 +450,20 @@ def small_panels(draw):
 
 
 class TestCountsAgainstOracle:
-    """Counts from adjacency and the streamed rows vs the per-pair oracle."""
+    """Counts from adjacency and the written dyads.csv vs the per-pair oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(panel=small_panels(),
            layer=st.sampled_from(["health", "friendship", "aggregated"]),
            sample=st.sampled_from(SAMPLES))
+    # a one-member village between two others writes no line, not even a blank one
+    @example(panel=make_panel({
+        "v0": {"dosage": 0.0, "households": {"a": ["v0i0"], "b": ["v0i1", "v0i2"]}},
+        "v1": {"dosage": 1.0, "households": {"c": ["v1i0"]}, "treated": ["c"]},
+        "v2": {"dosage": 0.5, "households": {"d": ["v2i0"], "e": ["v2i1"]}, "treated": ["e"]},
+    }, {("v0", 1, "health"): [("v0i0", "v0i1")], ("v0", 3, "health"): [("v0i1", "v0i2")],
+        ("v2", 1, "friendship"): [("v2i0", "v2i1")], ("v2", 3, "health"): [("v2i1", "v2i0")]}),
+        layer="aggregated", sample="all")
     def test_counts_length_and_rows(self, panel, layer, sample):
         data = sample_of(dyad_dataset(panel, layer), sample)
         dyads = enumerate_dyads(panel, layer, sample)
@@ -454,10 +471,7 @@ class TestCountsAgainstOracle:
         for scheme in SCHEMES:
             assert counted_states(data, scheme) == state_counts(dyads, scheme)
         everyone = dyads if sample == "all" else enumerate_dyads(panel, layer)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "dyads.csv"
-            vio.write_dyads(dyad_rows(panel, layer), path)
-            lines = path.read_text().splitlines()
+        lines = written_dyads(panel, layer)
         assert lines[1] == "village,ego,alter,coarse,fine,link_w1,link_w3"
         assert lines[2:] == [
             f"{d.village_id},{d.ego},{d.alter},{d.coarse},{d.fine},"
